@@ -16,13 +16,10 @@ from repro.analysis.latency import measure_store_latency
 from repro.analysis.bandwidth import measure_deliberate_bandwidth
 from repro.analysis.breakdown import measure_latency_breakdown
 from repro.analysis.packets import PacketStats
-from repro.analysis.faults import CorruptEveryNth, MisrouteEveryNth
 from repro.analysis import mesh_stats
 
 __all__ = [
     "PacketStats",
-    "CorruptEveryNth",
-    "MisrouteEveryNth",
     "mesh_stats",
     "Table",
     "format_row",

@@ -1,10 +1,10 @@
 """Synchronisation primitives folded onto DSM pages.
 
-The old :mod:`repro.shmem` lock/barrier emit assembly against
-pre-established push mappings: every participant pair needs its own
-mapping and the state is scattered across private flag words.  Here the
-state lives in node frames of a designated DSM *sync page* --
-checkpointed, fingerprinted and crash-rolled-back exactly like
+The push-only :mod:`repro.shmem` lock/barrier (paper section 4.1) emit
+assembly against pre-established push mappings: every participant pair
+needs its own mapping and the state is scattered across private flag
+words.  Here the state lives in node frames of a designated DSM *sync
+page* -- checkpointed, fingerprinted and crash-rolled-back exactly like
 application data -- and arbitration is message-based through the DSM
 service, so the primitives need no mappings beyond the runtime's
 channel fabric.

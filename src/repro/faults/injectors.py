@@ -1,7 +1,6 @@
 """Hook-based packet fault injectors.
 
-These replace the ``put_functional`` monkey-patch taps that used to live
-in ``repro.analysis.faults``: each injector registers with the sanctioned
+Each injector registers with the sanctioned
 :meth:`repro.nic.fifo.PacketFifo.add_inject_hook` point on a node's
 Outgoing FIFO, mutates every Nth packet in place, counts what it did
 (instance counters for test assertions, ``faults.*`` hub counters for

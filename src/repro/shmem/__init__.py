@@ -1,95 +1,25 @@
-"""Shared memory on SHRIMP: the push layer (deprecated) and the DSM layer.
+"""Shared memory on SHRIMP: the push-only layer of paper section 4.1.
 
-The original package is the *push-only* layer of paper section 4.1:
-pre-established automatic-update mappings with PRAM consistency, plus
+Pre-established automatic-update mappings with PRAM consistency, plus
 lock/barrier primitives that emit spin assembly against mapped flag
-words.  That layer still works, but synchronisation has been folded
-onto fetch-on-fault DSM pages (:mod:`repro.dsm`), whose lock and
-barrier need no per-pair mappings, survive crash/rollback, and scale
-past the section 3.2 two-mappings-per-page limit.  The push-only
-classes remain as thin shims that raise a :class:`DeprecationWarning`
-(the same migration pattern :mod:`repro.analysis.faults` used):
+words.  These classes reproduce the paper's section 4.1 design; the
+coherent, crash-tolerant fetch-on-fault layer is :mod:`repro.dsm`.
 
 - :class:`SharedRegion` -- complementary automatic-update mappings
   giving two nodes a common address window.
 - :class:`TokenLock` -- a request/grant token lock for two nodes,
   correct under PRAM consistency because of per-sender in-order
-  delivery.  Use :class:`repro.dsm.DsmLock`.
+  delivery.
 - :class:`ChainBarrier` -- an N-node chain barrier over mapped flag
-  words.  Use :class:`repro.dsm.DsmBarrier`.
-
-The DSM public API is re-exported here, so ``from repro.shmem import
-DsmLock`` is the one-line migration.
+  words, honouring the section 3.2 two-mappings-per-page limit.
 """
 
-import warnings
-
-from repro.dsm import (
-    FETCHING,
-    INVALID,
-    READ,
-    WRITE,
-    Directory,
-    DsmBarrier,
-    DsmError,
-    DsmLayout,
-    DsmLock,
-    DsmRuntime,
-    DsmSegment,
-    PageStateTable,
-)
-from repro.shmem.barrier import ChainBarrier as _ChainBarrier
-from repro.shmem.lock import TokenLock as _TokenLock
-from repro.shmem.region import SharedRegion as _SharedRegion
+from repro.shmem.barrier import ChainBarrier
+from repro.shmem.lock import TokenLock
+from repro.shmem.region import SharedRegion
 
 __all__ = [
     "SharedRegion",
     "TokenLock",
     "ChainBarrier",
-    # Re-exported DSM API (the replacement layer).
-    "DsmBarrier",
-    "DsmError",
-    "DsmLayout",
-    "DsmLock",
-    "DsmRuntime",
-    "DsmSegment",
-    "Directory",
-    "PageStateTable",
-    "INVALID",
-    "FETCHING",
-    "READ",
-    "WRITE",
 ]
-
-
-def _deprecated(old, new):
-    warnings.warn(
-        "repro.shmem.%s is deprecated; use repro.dsm.%s" % (old, new),
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class SharedRegion(_SharedRegion):
-    """Deprecated push-only region; use a :class:`repro.dsm.DsmSegment`
-    over a :class:`repro.dsm.DsmRuntime` for coherent shared pages."""
-
-    def __init__(self, *args, **kwargs):
-        _deprecated("SharedRegion", "DsmSegment")
-        super().__init__(*args, **kwargs)
-
-
-class TokenLock(_TokenLock):
-    """Deprecated two-node token lock; use :class:`repro.dsm.DsmLock`."""
-
-    def __init__(self, *args, **kwargs):
-        _deprecated("TokenLock", "DsmLock")
-        super().__init__(*args, **kwargs)
-
-
-class ChainBarrier(_ChainBarrier):
-    """Deprecated chain barrier; use :class:`repro.dsm.DsmBarrier`."""
-
-    def __init__(self, *args, **kwargs):
-        _deprecated("ChainBarrier", "DsmBarrier")
-        super().__init__(*args, **kwargs)

@@ -12,9 +12,9 @@ The package splits along the natural seams:
   the channel mesh and the frontend processes, and reports SLO metrics
   (p50/p99/p999 latency, goodput vs offered load).
 
-Run it from the command line (``python -m repro.workload``) or under the
-shard conductor (the ``workload`` scenario in :mod:`repro.sharded`);
-both produce identical fingerprints for the same parameters.
+Run it from the command line (``python -m repro.workload``) or as the
+``workload`` scenario in :mod:`repro.scenarios`; both produce identical
+fingerprints for the same parameters.
 """
 
 from repro.workload.arena import ArenaError, NodeArena

@@ -3,12 +3,11 @@
 Examples::
 
     python -m repro.workload --width 8 --height 8 --requests 256
-    python -m repro.workload --addr-map strided --shards 4
+    python -m repro.workload --addr-map strided
     python -m repro.workload --load 5000000 --zipf 1.3 --json
 
-Single-shard and sharded runs of the same parameters produce identical
-fingerprints (and therefore identical SLO numbers); ``--shards`` only
-changes how the work is executed.
+Runs of the same parameters produce identical fingerprints (and
+therefore identical SLO numbers).
 """
 
 import argparse
@@ -39,9 +38,6 @@ def main(argv=None):
                         default="blocked")
     parser.add_argument("--payload-words", type=int, default=4)
     parser.add_argument("--window-slots", type=int, default=4)
-    parser.add_argument("--shards", type=int, default=1)
-    parser.add_argument("--backend", choices=("inline", "process"),
-                        default="inline")
     parser.add_argument("--json", action="store_true",
                         help="emit the full SLO record as JSON")
     args = parser.parse_args(argv)
@@ -54,19 +50,16 @@ def main(argv=None):
         addr_map=args.addr_map,
     )
 
-    # Both paths go through repro.sharded so a --shards 1 run reports
-    # from the very same fingerprint record a sharded run would.
-    from repro.sharded import run_sharded
+    from repro.scenarios import run
 
-    result = run_sharded("workload", args.shards, backend=args.backend,
-                         **params.describe())
+    result = run("workload", **params.describe())
     slo = slo_from_fingerprint(result["fingerprint"], params)
 
     if args.json:
         print(json.dumps(slo, indent=2, sort_keys=True))
         return 0
-    print("workload %dx%d seed=%d addr_map=%s shards=%d"
-          % (args.width, args.height, args.seed, args.addr_map, args.shards))
+    print("workload %dx%d seed=%d addr_map=%s"
+          % (args.width, args.height, args.seed, args.addr_map))
     print("  offered %d rps, %d requests (%d local), %d responses"
           % (slo["offered_load_rps"], args.requests, slo["local"],
              slo["responses"]))

@@ -19,7 +19,7 @@ WorkloadParams` into a complete, started system:
   client side observes ``now - send time`` into the global
   ``workload.latency_ns`` histogram.
 
-SLO metrics (single-shard and sharded runs produce the same values):
+SLO metrics (exact: a run is a pure function of its parameters):
 
 - ``workload.latency_ns`` -- request/response round-trip histogram; its
   summary carries p50/p99/p999;
@@ -29,9 +29,9 @@ SLO metrics (single-shard and sharded runs produce the same values):
   (served from local memory; no mesh traffic, not latency-tracked).
 
 Everything is constructed before the simulation starts and the whole
-construction is a pure function of the parameters, so a sharded run
-builds bit-identical replicas (see ``repro.sharded``'s ``workload``
-scenario and the PR-6 equivalence machinery).
+construction is a pure function of the parameters, so two builds with
+the same parameters run bit-identically (see the ``workload`` scenario
+in :mod:`repro.scenarios`).
 """
 
 from repro.machine.config import datacenter
@@ -71,8 +71,8 @@ class DatacenterWorkload:
         self.responses_done = hub.counter("workload.responses")
         self.local_hits = hub.counter("workload.local")
 
-        # Distinct remote pairs in first-appearance order: the canonical
-        # construction walk every shard repeats identically.
+        # Distinct remote pairs in first-appearance order: the canonical,
+        # hash-seed-independent construction walk.
         self.pairs = []
         self.pair_requests = {}
         per_node = {}
@@ -112,7 +112,6 @@ class DatacenterWorkload:
             self.resp_channels[pair] = resp
             self._responses_enqueued[pair] = 0
 
-        self._frontends = []  # (node_id, Process), for shard deactivation
         self._started = False
 
     # -- construction helpers --------------------------------------------------
@@ -211,27 +210,12 @@ class DatacenterWorkload:
             self.req_channels[pair].start()
             self.resp_channels[pair].start()
         for node_id in sorted(self._per_node):
-            process = Process(
+            Process(
                 self.system.sim,
                 self._frontend_body(node_id, self._per_node[node_id]),
                 "wl.frontend(%d)" % node_id,
             ).start()
-            self._frontends.append((node_id, process))
         return self
-
-    def node_processes(self):
-        """Every workload process with its owning node, for
-        :class:`~repro.machine.sharding.ShardWorld` deactivation."""
-        procs = []
-        for pair in self.pairs:
-            req = self.req_channels[pair]
-            resp = self.resp_channels[pair]
-            procs.append((req.src_node_id, req._tx_proc))
-            procs.append((req.dest_node_id, req._rx_proc))
-            procs.append((resp.src_node_id, resp._tx_proc))
-            procs.append((resp.dest_node_id, resp._rx_proc))
-        procs.extend(self._frontends)
-        return procs
 
     def run(self, max_events=50_000_000):
         """Run to completion (all channels drained, frontends finished)."""
@@ -273,8 +257,8 @@ def slo_summary(latency, requests, responses, local, now_ns, params):
 
 
 def slo_from_fingerprint(fingerprint, params):
-    """Extract the SLO record from a run fingerprint (works on merged
-    sharded fingerprints exactly as on single-shard ones)."""
+    """Extract the SLO record from a run fingerprint
+    (:func:`repro.ckpt.divergence.fingerprint`)."""
     import json
 
     metrics = {}

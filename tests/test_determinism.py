@@ -5,13 +5,24 @@ event counts, same final times, same measured values.  This is what lets
 the benchmarks pin exact instruction counts and latencies.
 """
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from repro.analysis import measure_store_latency
 from repro.analysis.table1 import measure_csend_crecv, measure_single_buffering
 from repro.cpu import Asm, Context, Mem
 from repro.machine import ShrimpSystem, mapping
 from repro.memsys.address import PAGE_SIZE
 from repro.nic.nipt import MappingMode
+from repro.scenarios import SCENARIOS, run
 from repro.sim import Process
+from tests.test_dsm import _DSM_4X4
 
 
 def _one_run():
@@ -93,24 +104,17 @@ def _eviction_trace():
     )
 
 
-def test_eviction_trace_is_hash_seed_independent():
-    """The §4.4 invalidation walk must not depend on PYTHONHASHSEED.
+def _under_hash_seeds(target, *args):
+    """``repr(target(*args))`` from fresh interpreters under
+    ``PYTHONHASHSEED`` 1 and 2.
 
-    Runs the two-importer eviction scenario in subprocesses under
-    different hash seeds and requires bit-identical traces -- the
-    regression test for ordering eviction's import walk.
+    ``target`` must be importable by module and name; ``args`` must
+    round-trip through ``repr``.
     """
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     repo = Path(__file__).resolve().parent.parent
-    script = (
-        "from tests.test_determinism import _eviction_trace;"
-        "print(repr(_eviction_trace()))"
-    )
-    traces = []
+    script = "from %s import %s as target; print(repr(target(*%r)))" % (
+        target.__module__, target.__name__, args)
+    outputs = []
     for seed in ("1", "2"):
         env = dict(
             os.environ,
@@ -123,5 +127,47 @@ def test_eviction_trace_is_hash_seed_independent():
             cwd=str(repo),
         )
         assert result.returncode == 0, result.stderr
-        traces.append(result.stdout)
-    assert traces[0] == traces[1]
+        outputs.append(result.stdout)
+    return outputs
+
+
+def test_eviction_trace_is_hash_seed_independent():
+    """The §4.4 invalidation walk must not depend on PYTHONHASHSEED.
+
+    Runs the two-importer eviction scenario in subprocesses under
+    different hash seeds and requires bit-identical traces -- the
+    regression test for ordering eviction's import walk.
+    """
+    first, second = _under_hash_seeds(_eviction_trace)
+    assert first == second
+
+
+def _scenario_digest(name):
+    """A scenario's fingerprint plus the sha256 of its ordered event log."""
+    kwargs = _DSM_4X4 if name == "dsm" else {}
+    result = run(name, collect_events=True, **kwargs)
+    events = hashlib.sha256("\n".join(result["events"]).encode())
+    return (json.dumps(result["fingerprint"], sort_keys=True),
+            events.hexdigest())
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_is_hash_seed_independent(name):
+    """Every named scenario -- fault storms and the DSM home crash
+    included -- ends in the same fingerprint and emits the same event
+    log in the same order whatever the interpreter's hash seed."""
+    first, second = _under_hash_seeds(_scenario_digest, name)
+    assert first == second
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_rebuilds_identically_in_one_process(name):
+    """Building a scenario twice in one interpreter gives the same
+    fingerprint and event log: no class- or module-level state (id
+    counters, caches) carries from one system into the next."""
+    assert _scenario_digest(name) == _scenario_digest(name)
+
+
+def test_unknown_scenario_is_rejected():
+    with pytest.raises(ValueError, match="unknown scenario"):
+        run("nope")

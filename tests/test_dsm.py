@@ -1,4 +1,4 @@
-"""Fetch-on-fault DSM (:mod:`repro.dsm`): protocol, apps, shards, faults.
+"""Fetch-on-fault DSM (:mod:`repro.dsm`): protocol, apps, sync, faults.
 
 The acceptance surface of the DSM subsystem:
 
@@ -9,19 +9,16 @@ The acceptance surface of the DSM subsystem:
   writer's ``dsm.grant``;
 - the app family (stencil / bfs / kv) against closed-form expectations,
   with every node provably fetching pages across the mesh;
-- bit-identical single-shard vs 4-shard execution of the ``dsm``
-  scenario (fingerprint *and* event order), 4x4 fast and 8x8 slow;
+- the ``dsm`` scenario on 4x4, with every node fetching remotely;
 - the folded-in sync primitives (combining-tree barrier, home lock);
 - the OS integration: the kernel's DSM fault hook and the checkpointed
   OS-visible page-state table;
-- the deprecation shims the old push-only :mod:`repro.shmem` names
-  turned into;
 - crash/restore + seeded link-flap convergence: the shared space ends
   byte-identical to the fault-free run (hypothesis property);
 - home-crash recovery (``arm_recovery``): a crashed *home* rebuilds its
   directory from survivor claims and every app kind still converges, a
   crashed lock holder's tenure is revoked by the lease detector, and
-  the ``dsm_homecrash`` scenario is bit-identical at 4 shards.
+  the ``dsm_homecrash`` scenario rebuilds, replays and completes.
 """
 
 import json
@@ -55,7 +52,7 @@ from repro.faults.recovery import (
 )
 from repro.machine import ShrimpSystem
 from repro.memsys.address import PAGE_SIZE, WORD_SIZE, page_number
-from repro.sharded import run_single, run_sharded
+from repro.scenarios import build, run
 from repro.sim.instrument import Instrumentation
 from repro.sim.process import Process, Timeout
 from repro.workload.dsm_apps import (
@@ -294,19 +291,10 @@ class TestDsmApps:
         assert stencil_value(0, 1, 0) != stencil_value(1, 1, 0)
 
 
-# -- sharded bit-identity -----------------------------------------------------
+# -- the dsm scenario ---------------------------------------------------------
 
 
 _DSM_4X4 = dict(width=4, height=4, iterations=1, words=4)
-_dsm_single_cache = {}
-
-
-def _dsm_single(**kwargs):
-    key = tuple(sorted(kwargs.items()))
-    if key not in _dsm_single_cache:
-        _dsm_single_cache[key] = run_single(
-            "dsm", collect_events=True, **kwargs)
-    return _dsm_single_cache[key]
 
 
 def _push_destinations(events):
@@ -315,27 +303,10 @@ def _push_destinations(events):
             if e["kind"] == "dsm.push"}
 
 
-class TestShardIdentity:
+class TestDsmScenario:
     def test_4x4_every_node_fetches_remotely(self):
-        reference = _dsm_single(**_DSM_4X4)
+        reference = run("dsm", collect_events=True, **_DSM_4X4)
         assert _push_destinations(reference["events"]) == set(range(16))
-
-    def test_4x4_bit_identical_1_vs_4_shards(self):
-        reference = _dsm_single(**_DSM_4X4)
-        merged = run_sharded("dsm", 4, collect_events=True, **_DSM_4X4)
-        assert merged["fingerprint"] == reference["fingerprint"]
-        assert merged["events"] == reference["events"]
-
-    @pytest.mark.slow
-    def test_8x8_bit_identical_1_vs_4_shards(self):
-        """The acceptance pin: 8x8 stencil, every node fetching
-        remotely, fingerprint and event order identical at 4 shards."""
-        kwargs = dict(width=8, height=8, iterations=1, words=4)
-        reference = _dsm_single(**kwargs)
-        assert _push_destinations(reference["events"]) == set(range(64))
-        merged = run_sharded("dsm", 4, collect_events=True, **kwargs)
-        assert merged["fingerprint"] == reference["fingerprint"]
-        assert merged["events"] == reference["events"]
 
 
 # -- sync primitives ----------------------------------------------------------
@@ -502,40 +473,6 @@ class TestKernelDsmHook:
         kernel.ckpt_restore(state)
         assert kernel.dsm_page_state(5) == READ
         assert kernel.dsm_page_state(9) == INVALID
-
-
-# -- the deprecated push-only shims -------------------------------------------
-
-
-class TestShmemShims:
-    def test_token_lock_warns_and_still_works(self):
-        from repro.shmem import TokenLock
-
-        with pytest.warns(DeprecationWarning, match="DsmLock"):
-            TokenLock(0x1000, 0x1004)
-
-    def test_shared_region_warns(self):
-        from repro.shmem import SharedRegion
-
-        system = make_system(2, 1)
-        a, b = system.nodes
-        with pytest.warns(DeprecationWarning, match="DsmSegment"):
-            SharedRegion(a, b, 0x30000, PAGE_SIZE)
-
-    def test_chain_barrier_warns(self):
-        from repro.shmem import ChainBarrier
-
-        system = make_system(2, 1)
-        with pytest.warns(DeprecationWarning, match="DsmBarrier"):
-            ChainBarrier(system.nodes, 0x38000)
-
-    def test_dsm_api_is_reexported(self):
-        import repro.dsm
-        import repro.shmem
-
-        assert repro.shmem.DsmRuntime is repro.dsm.DsmRuntime
-        assert repro.shmem.DsmLock is repro.dsm.DsmLock
-        assert repro.shmem.DsmBarrier is repro.dsm.DsmBarrier
 
 
 # -- crash/restore + fault-plan convergence -----------------------------------
@@ -718,14 +655,22 @@ class TestHomeCrashRecovery:
             == [(victim, waiter)]
         assert hub.value("dsm.lock_revokes") == 1
 
-    def test_homecrash_scenario_bit_identical_1_vs_4_shards(self):
-        """The sharded acceptance pin: the 4x4 home-crash scenario --
-        crash, rebuild, replay and all -- is bit-identical at 4 shards
-        (contiguous partition; the whole coupled set is shard 0's row)."""
-        reference = run_single("dsm_homecrash", collect_events=True)
-        kinds = {json.loads(e)["kind"] for e in reference["events"]}
+    def test_homecrash_scenario_converges_through_its_rebuild(self):
+        """The ``dsm_homecrash`` scenario pin: node 1 -- data home and
+        lock home -- crashes mid-run on the 4x4 mesh, rebuilds its
+        directory, replays, and every participant still completes every
+        iteration."""
+        system, _controller = build("dsm_homecrash", collect_events=True)
+        system.run()
+        hub = Instrumentation.of(system.sim)
+        kinds = {e.kind for e in hub.events()}
         assert "dsm.rebuild_start" in kinds and "dsm.rebuild_done" in kinds
         assert "dsm.replay" in kinds
-        merged = run_sharded("dsm_homecrash", 4, collect_events=True)
-        assert merged["fingerprint"] == reference["fingerprint"]
-        assert merged["events"] == reference["events"]
+        assert hub.value("dsm.rebuilds") == 1
+        # Construction is a pure function of the parameters, so a twin
+        # build names the same progress word the scenario's apps use.
+        twin = DsmWorkload(kind="homecrash", width=4, height=4,
+                           iterations=2)
+        progress = twin.layout.scratch_addr(SCRATCH_PROGRESS)
+        for node_id in twin.active_nodes():
+            assert system.nodes[node_id].memory.read_word(progress) == 2

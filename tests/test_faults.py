@@ -155,16 +155,6 @@ class TestInjectors:
         assert b.nic.packets_delivered.value == 5
         assert all(c.memory.read_word(DST + 4 * i) == 0 for i in range(10))
 
-    def test_deprecated_analysis_shims_still_work(self):
-        from repro.analysis.faults import CorruptEveryNth as OldCorrupt
-
-        system, a, b = make_system()
-        with pytest.warns(DeprecationWarning):
-            tap = OldCorrupt(a.nic, 1)
-        tap.detach()
-        drive_stores(system, a, 3)
-        assert b.nic.packets_delivered.value == 3
-
 
 class TestController:
     def test_unknown_targets_rejected_at_arm_time(self):

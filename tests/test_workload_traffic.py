@@ -1,18 +1,20 @@
-"""The datacenter workload: determinism, arenas, shard equivalence.
+"""The datacenter workload: determinism, arenas, request accounting.
 
-The headline property is the PR-7 acceptance criterion: the open-loop
-workload produces **bit-identical fingerprints** (final time, event
-count, every metric, every node's memory image) whether it runs in one
-simulator or sharded under the conductor -- for the blocked and the
-strided placement alike.  Everything the workload does (Poisson
+The headline property: the open-loop workload produces **bit-identical
+fingerprints** (final time, event count, every metric, every node's
+memory image) for the same parameters -- for the blocked and the
+strided placement alike, and under any ``PYTHONHASHSEED`` (see
+``tests/test_determinism.py``).  Everything the workload does (Poisson
 arrivals, Zipf keys, channel construction order) is a pure function of
 its parameters, and these tests are what keep it that way.
 """
 
+import json
+
 import pytest
 
 from repro.memsys.address import PAGE_SIZE
-from repro.sharded import run_sharded, run_single
+from repro.scenarios import run
 from repro.workload import (
     ArenaError,
     DatacenterWorkload,
@@ -24,6 +26,7 @@ from repro.workload import (
 )
 from repro.faults.plan import SeededStream
 from repro.mesh.topology import MeshTopology
+from tests.test_determinism import _under_hash_seeds
 
 
 # -- the traffic model -------------------------------------------------------
@@ -134,7 +137,7 @@ def test_arena_exhaustion_fails_loudly():
         arena.alloc_mapout(256)
 
 
-# -- run determinism and shard equivalence -----------------------------------
+# -- run determinism ----------------------------------------------------------
 
 
 def _fingerprints_equal(a, b):
@@ -144,8 +147,22 @@ def _fingerprints_equal(a, b):
 def test_same_seed_same_fingerprint():
     kwargs = dict(width=4, height=4, requests=24, seed=9)
     assert _fingerprints_equal(
-        run_single("workload", **kwargs), run_single("workload", **kwargs)
+        run("workload", **kwargs), run("workload", **kwargs)
     )
+
+
+def _placement_fingerprint(addr_map):
+    result = run("workload", width=4, height=4, requests=32, seed=5,
+                 addr_map=addr_map)
+    return json.dumps(result["fingerprint"], sort_keys=True)
+
+
+@pytest.mark.parametrize("addr_map", ["blocked", "strided"])
+def test_addr_map_run_is_hash_seed_independent(addr_map):
+    """Both home placements end in the same fingerprint under
+    PYTHONHASHSEED 1 and 2 (the scenario check runs only the default)."""
+    first, second = _under_hash_seeds(_placement_fingerprint, addr_map)
+    assert first == second
 
 
 def test_every_remote_request_is_answered_exactly_once():
@@ -165,19 +182,3 @@ def test_every_remote_request_is_answered_exactly_once():
         assert channel.complete
     for channel in workload.resp_channels.values():
         assert channel.complete
-
-
-@pytest.mark.parametrize("addr_map", ["blocked", "strided"])
-def test_sharded_run_is_bit_identical(addr_map):
-    kwargs = dict(width=4, height=4, requests=32, seed=5,
-                  addr_map=addr_map)
-    single = run_single("workload", **kwargs)
-    quad = run_sharded("workload", 4, **kwargs)
-    assert single["fingerprint"] == quad["fingerprint"]
-
-
-def test_sharded_run_matches_on_odd_shard_count():
-    kwargs = dict(width=4, height=4, requests=24, seed=6)
-    single = run_single("workload", **kwargs)
-    tri = run_sharded("workload", 3, **kwargs)
-    assert single["fingerprint"] == tri["fingerprint"]
