@@ -18,13 +18,12 @@ from repro.lint.engine import Rule
 
 #: Datapath callables a fault (or test) must never rebind on another
 #: object.  Covers the NIC FIFOs (put/put_functional/get/try_get), links
-#: (send/send_burst/receive/try_receive/claim_times), routers (route/
-#: inject) and the NIC's DRAM deposit path.
+#: (send/send_worm/receive and the run API claim_runs/deposit_runs/
+#: pop_runs) and routers (route/inject).
 _DATAPATH_CALLABLES = frozenset({
     "put_functional", "put", "get", "try_get",
-    "send", "send_burst", "receive", "try_receive", "claim_times",
+    "send", "send_worm", "receive", "claim_runs", "deposit_runs", "pop_runs",
     "route", "inject",
-    "deposit_scheduled",
 })
 
 

@@ -1,5 +1,8 @@
 """Word-addressable physical DRAM."""
 
+import sys
+from array import array
+
 from repro.memsys.address import (
     WORD_SIZE,
     WORD_MASK,
@@ -7,13 +10,21 @@ from repro.memsys.address import (
     require_word_aligned,
 )
 
+#: ``array("I")`` and ``memoryview.cast("I")`` use the host's byte order
+#: and C ``unsigned int`` size, so a word view matches DRAM's little-endian
+#: layout only on a little-endian host with 4-byte ints.
+_NATIVE_LITTLE_WORDS = (sys.byteorder == "little"
+                        and array("I").itemsize == WORD_SIZE)
+
 
 class PhysicalMemory:
     """A node's DRAM as a flat little-endian byte array.
 
     All accesses are word (4-byte) granularity, matching the bus models.
     This object is purely functional; access *timing* is charged by the bus
-    that routes transactions here.
+    that routes transactions here.  On a little-endian host word accesses
+    go through a native ``uint32`` view of the same bytes, which is the
+    little-endian layout; a big-endian host keeps the byte path.
     """
 
     def __init__(self, size_bytes):
@@ -21,6 +32,10 @@ class PhysicalMemory:
             raise AddressError("memory size must be a positive word multiple")
         self.size_bytes = size_bytes
         self._data = bytearray(size_bytes)
+        # A word view of _data (wiring, not state: it aliases _data, which
+        # the checkpoint and the divergence hash cover).
+        self._words = (memoryview(self._data).cast("I")
+                       if _NATIVE_LITTLE_WORDS else None)
         self.read_count = 0
         self.write_count = 0
         # Optional write hook (configuration, not state -- not captured by
@@ -41,6 +56,9 @@ class PhysicalMemory:
     def read_word(self, addr):
         self._check(addr)
         self.read_count += 1
+        words = self._words
+        if words is not None:
+            return words[addr >> 2]
         return int.from_bytes(self._data[addr : addr + WORD_SIZE], "little")
 
     def write_word(self, addr, value):
@@ -48,6 +66,10 @@ class PhysicalMemory:
         if self.write_guard is not None:
             self.write_guard(addr, 1)
         self.write_count += 1
+        words = self._words
+        if words is not None:
+            words[addr >> 2] = value & WORD_MASK
+            return
         self._data[addr : addr + WORD_SIZE] = (value & WORD_MASK).to_bytes(
             WORD_SIZE, "little"
         )
@@ -55,6 +77,10 @@ class PhysicalMemory:
     def read_words(self, addr, nwords):
         self._check(addr, nwords)
         self.read_count += nwords
+        words = self._words
+        if words is not None:
+            first = addr >> 2
+            return words[first : first + nwords].tolist()
         return [
             int.from_bytes(self._data[a : a + WORD_SIZE], "little")
             for a in range(addr, addr + nwords * WORD_SIZE, WORD_SIZE)
@@ -65,6 +91,12 @@ class PhysicalMemory:
         if self.write_guard is not None:
             self.write_guard(addr, len(values))
         self.write_count += len(values)
+        words = self._words
+        if words is not None:
+            first = addr >> 2
+            words[first : first + len(values)] = array(
+                "I", [value & WORD_MASK for value in values])
+            return
         for i, value in enumerate(values):
             a = addr + i * WORD_SIZE
             self._data[a : a + WORD_SIZE] = (value & WORD_MASK).to_bytes(

@@ -7,10 +7,11 @@ each sender to each receiver" (paper section 3).
 
 This package models that backplane at flit level:
 
-- :mod:`~repro.mesh.packet` -- network packet format with CRC-16, and
-  serialisation to flits.
+- :mod:`~repro.mesh.packet` -- network packet format with CRC-16 and its
+  flit count.  A flit is ``(packet, index)``; there is no flit object.
 - :mod:`~repro.mesh.link` -- unidirectional flit channels with bounded
-  buffering (backpressure) and per-flit transfer time.
+  buffering (backpressure) and per-flit transfer time, holding a worm's
+  flits and slot-free times as affine runs.
 - :mod:`~repro.mesh.router` -- a 5-port wormhole router using dimension-
   ordered (X-then-Y) routing, which is oblivious and deadlock-free on a
   mesh.
@@ -18,14 +19,13 @@ This package models that backplane at flit level:
   and attaches node NICs to injection/ejection ports.
 """
 
-from repro.mesh.packet import Packet, Flit, crc16, PacketError
+from repro.mesh.packet import Packet, crc16, PacketError
 from repro.mesh.link import Link
 from repro.mesh.router import Router, RoutingError
 from repro.mesh.backplane import Backplane
 
 __all__ = [
     "Packet",
-    "Flit",
     "crc16",
     "PacketError",
     "Link",

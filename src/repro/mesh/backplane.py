@@ -8,6 +8,10 @@ from repro.sim.process import Timeout
 from repro.sim.resources import Mutex
 
 
+#: The capture of a link holding nothing (see :meth:`Backplane.ckpt_capture`).
+_IDLE_LINK = {"packets": [], "entries": [], "frees": []}
+
+
 class Backplane:
     """A ``width x height`` mesh with one NIC attachment point per router.
 
@@ -126,20 +130,16 @@ class Backplane:
         return {"links": links}
 
     def ckpt_restore(self, state):
-        by_name = {link.name: link for link in self.iter_links()}
-        for link in by_name.values():
-            link._entries.clear()
-            link._frees.clear()
-        for name, link_state in state["links"]:
-            link = by_name.get(name)
-            if link is None:
-                from repro.ckpt.protocol import CkptError
+        link_states = dict(state["links"])
+        for link in self.iter_links():
+            link.ckpt_restore(link_states.pop(link.name, _IDLE_LINK))
+        if link_states:
+            from repro.ckpt.protocol import CkptError
 
-                raise CkptError(
-                    "checkpoint names unknown mesh link %r "
-                    "(topology mismatch)" % name
-                )
-            link.ckpt_restore(link_state)
+            raise CkptError(
+                "checkpoint names unknown mesh link %r "
+                "(topology mismatch)" % next(iter(link_states))
+            )
 
     # -- NIC attachment ----------------------------------------------------------
 
@@ -161,7 +161,8 @@ class Backplane:
         lock = self._injection_locks[node_id]
         yield from lock.acquire(packet)
         try:
-            yield from link.send_burst(packet.to_flits(self.params.flit_bytes))
+            yield from link.send_worm(
+                packet, packet.flit_count(self.params.flit_bytes))
         finally:
             lock.release()
 
@@ -177,32 +178,38 @@ class Backplane:
         sleep covers the run, instead of one wake-up per flit.
         """
         link = self._ejection[node_id]
-        flit = yield from link.receive()
-        if not flit.is_head:
+        packet, index = yield from link.receive()
+        if index:
             raise RuntimeError("ejection out of sync at node %d" % node_id)
-        packet = flit.packet
-        while not flit.is_tail:
-            pending = link.peek_entries()
-            if not pending:
+        flit_ns = self.params.link_flit_ns
+        remaining = packet.flit_count(self.params.flit_bytes) - 1
+        while remaining:
+            runs = link.peek_runs()
+            if not runs:
                 flit = yield from link.receive()
-                if flit.packet is not packet:
+                if flit[0] is not packet:
                     raise RuntimeError("interleaved worms at node %d" % node_id)
+                remaining -= 1
                 continue
-            now = self.sim.now
-            free_times = []
-            last = None
-            for ready_at, entry_flit in pending:
-                if entry_flit.packet is not packet:
+            free_runs = []
+            count = 0
+            for ready_at, run_packet, _first, n in runs:
+                if run_packet is not packet:
                     raise RuntimeError("interleaved worms at node %d" % node_id)
-                free_times.append(ready_at if ready_at > now else now)
-                last = entry_flit
-                if entry_flit.is_tail:
+                if n > remaining - count:
+                    n = remaining - count
+                free_runs.append((ready_at, n))
+                count += n
+                if count == remaining:
                     break
-            link.pop_entries(len(free_times), free_times)
-            wait = free_times[-1] - now
+            # Popping frees each slot at its stamp (stamps already past
+            # free at once), so the last stamp paces the reader.
+            last_ready = ready_at + (n - 1) * flit_ns
+            link.pop_runs(count, free_runs)
+            remaining -= count
+            wait = last_ready - self.sim.now
             if wait > 0:
                 yield Timeout(wait)
-            flit = last
         self.packets_delivered.bump()
         hub = self.instr
         if hub.active:

@@ -1,44 +1,44 @@
-"""Unidirectional flit channels with bounded buffering.
+"""Unidirectional flit channels with bounded buffering, kept as worm runs.
 
 A link models one physical channel between adjacent routers (or between a
-NIC and its router).  It has a per-flit transfer time (setting the link
-bandwidth) and a bounded receive buffer: a full buffer blocks the sender,
-which is how wormhole backpressure propagates hop by hop all the way back
-to a sending NIC.
+NIC and its router).  It has a per-flit transfer time ``f``
+(``link_flit_ns``, which sets the link bandwidth) and a bounded receive
+buffer: a full buffer blocks the sender, which is how wormhole
+backpressure propagates hop by hop all the way back to a sending NIC.
 
-Implementation: timestamped burst transfers.  The per-flit reference
-behaviour is ``Timeout(link_flit_ns)`` then a blocking put -- one timed
-event plus a signal round-trip per flit.  This link instead lets the
-single writer deposit a *chunk* of flits up front, each stamped with the
-simulated time it would have completed transfer (``ready_at``, spaced
-``link_flit_ns`` apart), then sleep once for the whole chunk.  The single
-reader only sees a flit once its stamp matures, so arrival times are
-identical to the per-flit model.
+The per-flit reference behaviour is ``Timeout(f)`` then a blocking put for
+every flit.  This link computes the same schedule in closed form instead.
+A flit is ``(packet, index)``: index 0 is the head, ``nflits - 1`` the
+tail.  Within one worm, consecutive transfer-done stamps, reader pop times
+and slot-free times are ``f`` apart except at a few breakpoints, so the
+link stores them as *affine runs*:
 
-Backpressure stays flit-exact through three rules:
+- a buffered run ``[t0, packet, first, n]`` holds flits
+  ``first .. first+n-1`` of ``packet``, flit ``k`` ready (its transfer
+  complete) at ``t0 + k*f``.  The single reader only sees a flit once its
+  stamp matures, so arrival times equal the per-flit model's.
+- a future-free run ``[t0, n]`` holds ``n`` slots a consume-ahead reader
+  has already taken (the router forwards, and the NIC drains, flits it
+  will only finish with later), free at ``t0 + k*f``.  They stay counted
+  as occupied until then, so a writer never lands a flit earlier than the
+  reference model would have admitted it.
 
-- A reader that consumes flits ahead of time (the router's batched
-  forwarding pops flits it will only finish forwarding later) declares a
-  *future free time* per popped slot.  The slot stays counted as occupied
-  until then, so an upstream writer never squeezes a flit in earlier
-  than the reference model would have admitted it.
-- A chunk never exceeds the *claimable* slots at chunk start: the free
-  slots plus the declared future frees.  A flit routed through a future
-  free lands at ``max(transfer done, declared free time)`` -- the exact
-  instant the reference model's blocked put would have completed,
-  because the single FIFO reader frees slots at non-decreasing times, so
-  no slot can open earlier than the declared schedule.
-- With no claimable slot at all (buffered flits the reader has not yet
-  committed to), the writer parks until the reader frees or declares a
-  slot, then places the flit arithmetically at ``max(transfer done,
-  slot time)`` -- the instant the reference model's blocked put would
-  have completed -- costing one wake-up per flit instead of a transfer
-  sleep plus a slot wait.
+A writer *claims* slots (:meth:`claim_runs`): ``now`` for each slot free
+now, then the future-free runs.  Because the single FIFO reader frees
+slots at non-decreasing times, no slot opens earlier than that schedule,
+and a segment whose first flit lands at ``L0 = max(transfer done, first
+slot)`` lands its k-th flit at exactly ``L0 + k*f`` -- later slots of the
+segment never bind.  With nothing claimable (buffered flits the reader has
+not committed to) the writer parks until the reader frees or declares a
+slot.
 
 Each link has exactly one writer (wormhole switching holds the upstream
 output port; injection ports are mutex-guarded) and one reader (the
 downstream router's input process or the NIC accept loop), which is what
-makes the stamp and free-time bookkeeping race-free.
+makes the stamp and free-time bookkeeping race-free.  Runs change host
+work only: every timed sleep, park and signal fire happens where the
+per-flit-entry implementation put it, and checkpoints still list flits one
+by one.
 """
 
 from collections import deque
@@ -55,8 +55,14 @@ class Link:
         self.params = params
         self.name = name
         self.capacity = params.input_buffer_flits
-        self._entries = deque()  # (ready_at, flit), ready_at non-decreasing
-        self._frees = deque()  # future slot-free times, non-decreasing
+        self._flit_ns = params.link_flit_ns
+        # Buffered runs [t0, packet, first, n], stamps non-decreasing, and
+        # the flit count they hold.
+        self._runs = deque()
+        self._buffered = 0
+        # Future-free runs [t0, n], times non-decreasing, and their count.
+        self._free_runs = deque()
+        self._future = 0
         self._not_full = Signal(sim, name + ".not_full")
         self._not_empty = Signal(sim, name + ".not_empty")
         # Wait requests are immutable; reuse one per signal instead of
@@ -71,6 +77,34 @@ class Link:
         self._down = False  # simlint: ignore[SL201] fault state, re-armed from the FaultPlan not the checkpoint
         self.flits_moved = Instrumentation.of(sim).counter(name + ".flits")
 
+    # -- run bookkeeping -------------------------------------------------------
+
+    def _append_run(self, t0, packet, first, n):
+        """Buffer flits ``first..first+n-1``, extending the last run when
+        they continue it (same packet, next index, next stamp)."""
+        self._buffered += n
+        runs = self._runs
+        if runs:
+            last = runs[-1]
+            count = last[3]
+            if (last[1] is packet and last[2] + count == first
+                    and last[0] + count * self._flit_ns == t0):
+                last[3] = count + n
+                return
+        runs.append([t0, packet, first, n])
+
+    def _append_frees(self, t0, n):
+        """Declare ``n`` slots free at ``t0 + k*f``, extending the last
+        future-free run when they continue it."""
+        self._future += n
+        frees = self._free_runs
+        if frees:
+            last = frees[-1]
+            if last[0] + last[1] * self._flit_ns == t0:
+                last[1] += n
+                return
+        frees.append([t0, n])
+
     # -- occupancy accounting --------------------------------------------------
 
     def free_slots(self):
@@ -79,27 +113,27 @@ class Link:
         Drops matured future-free records on the way (a slot consumed
         ahead of time stops counting once its declared free time passes).
         """
-        frees = self._frees
+        frees = self._free_runs
         if frees:
             now = self.sim._now
-            while frees and frees[0] <= now:
-                frees.popleft()
-        return self.capacity - len(self._entries) - len(frees)
+            while frees and frees[0][0] <= now:
+                run = frees[0]
+                matured = (now - run[0]) // self._flit_ns + 1
+                if matured >= run[1]:
+                    frees.popleft()
+                    self._future -= run[1]
+                else:
+                    run[0] += matured * self._flit_ns
+                    run[1] -= matured
+                    self._future -= matured
+        return self.capacity - self._buffered - self._future
 
     @property
     def occupancy(self):
         """Flits buffered (deposited and not yet consumed by the reader)."""
-        return len(self._entries)
-
-    def is_full(self):
-        return self.free_slots() <= 0
+        return self._buffered
 
     # -- writer side -----------------------------------------------------------
-
-    def _deposit(self, ready_at, flit):
-        self._entries.append((ready_at, flit))
-        self.flits_moved.bump()
-        self._not_empty.fire()
 
     def _wait_for_slot(self):
         """Generator: block until at least one buffer slot is free *now*
@@ -110,19 +144,19 @@ class Link:
                 # set_down(False) fires _not_full to resume writers.
                 yield self._wait_not_full
                 continue
-            frees = self._frees
+            frees = self._free_runs
             if frees:
                 # A consumed-ahead slot matures at a known time; no reader
                 # pop can free one earlier (free times are non-decreasing).
-                yield Timeout(frees[0] - self.sim._now)
+                yield Timeout(frees[0][0] - self.sim._now)
             else:
                 yield self._wait_not_full
 
     def wait_claimable(self):
-        """Generator: block until :meth:`claim_times` has something to give
+        """Generator: block until :meth:`claim_runs` has something to give
         (a slot free now, or a consumed-ahead slot with a declared future
         free time -- the writer need not sleep to the maturity itself)."""
-        while self._down or (self.free_slots() <= 0 and not self._frees):
+        while self._down or (self.free_slots() <= 0 and not self._free_runs):
             yield self._wait_not_full
 
     # -- fault-injection hook (see repro.faults) -------------------------------
@@ -147,110 +181,104 @@ class Link:
         if not down:
             self._not_full.fire()
 
-    def send(self, flit):
+    def send(self, packet, index):
         """Generator: transfer one flit (timed), blocking on a full buffer."""
-        yield Timeout(self.params.link_flit_ns)
+        yield Timeout(self._flit_ns)
         yield from self._wait_for_slot()
-        self._deposit(self.sim._now, flit)
+        self.deposit_runs(((self.sim._now, packet, index, 1),))
 
-    def send_burst(self, flits):
-        """Generator: transfer ``flits`` in capacity-bounded chunks.
+    def send_worm(self, packet, nflits):
+        """Generator: transfer all ``nflits`` flits of ``packet``.
 
         Arrival times and backpressure blocking are identical to calling
-        :meth:`send` once per flit; uncontended chunks just cost one timed
-        event each instead of several events per flit.  A chunk may also
-        run through slots claimable at known future times (declared by a
-        consumed-ahead reader): each flit then lands at
-        ``max(transfer done, claimed slot time)`` -- the instant the
-        reference model's blocked put would have completed.  With nothing
-        claimable the writer parks until the reader frees a slot; landing
-        times are computed arithmetically on wake-up, so a blocked burst
-        costs about one event per flit.  The single sleep at the end
-        paces the sender to the last flit's landing time.
+        :meth:`send` once per flit.  Each claimed segment lands its first
+        flit at ``L0 = max(previous landing + f, first slot)`` and the
+        rest ``f`` apart, so an uncontended worm costs one timed event.
+        With nothing claimable the writer parks until the reader frees a
+        slot.  The single sleep at the end paces the sender to the tail's
+        landing time.
         """
-        flit_ns = self.params.link_flit_ns
+        flit_ns = self._flit_ns
         sim = self.sim
-        i = 0
-        n = len(flits)
+        first = 0
         done = sim._now  # reference completion time of the previous flit
-        while i < n:
-            claim = self.claim_times(n - i)
-            if not claim:
+        while first < nflits:
+            claims = self.claim_runs(nflits - first)
+            if not claims:
                 yield from self.wait_claimable()
                 continue
-            sends = []
-            for slot_at in claim:
+            runs = []
+            for slot_at, count in claims:
                 land = done + flit_ns
                 if slot_at > land:
                     land = slot_at
-                sends.append((land, flits[i + len(sends)]))
-                done = land
-            self.deposit_scheduled(sends)
-            i += len(sends)
+                runs.append((land, packet, first, count))
+                first += count
+                done = land + (count - 1) * flit_ns
+            self.deposit_runs(runs)
         if done > sim._now:
             yield Timeout(done - sim._now)
 
-    def claim_times(self, limit):
-        """Times at which the writer may claim the next buffer slots.
+    def claim_runs(self, limit):
+        """Slot segments a writer may claim, at most ``limit`` slots in all.
 
-        Returns at most ``limit`` non-decreasing times: ``now`` for each
-        currently-free slot, then the declared free times of
-        consumed-ahead slots (see :meth:`pop_entries`).  Because the
-        single reader frees slots in FIFO order at non-decreasing times,
-        no slot can become claimable earlier than this schedule says --
-        which is what lets a writer *reserve* future slots and deposit
-        flits stamped with their exact per-flit landing times in one
-        batch, instead of blocking per flit.
-
-        Slots currently holding undelivered flits are not claimable (the
-        reader has not committed to a pop time for them), so the list may
-        be shorter than ``limit``; the writer falls back to the blocking
-        per-flit path for the remainder.  A downed link has no claimable
-        slots at all.
+        Returns ``(slot_at, count)`` pairs in claim order: one segment of
+        slots free ``now``, then the future-free runs (slot ``k`` of a run
+        frees at ``slot_at + k*f``).  Slots holding undelivered flits are
+        not claimable (the reader has not committed to a pop time for
+        them), so the total may fall short of ``limit``; a downed link
+        has no claimable slots at all.
         """
         if self._down:
             return []
         free = self.free_slots()
         now = self.sim._now
         if free >= limit:
-            return [now] * limit
-        times = [now] * free if free > 0 else []
-        need = limit - len(times)
-        frees = self._frees
-        if need >= len(frees):
-            times.extend(frees)
-        else:
-            for free_at in frees:
-                times.append(free_at)
-                need -= 1
-                if not need:
-                    break
-        return times
+            return [(now, limit)]
+        claims = []
+        need = limit
+        if free > 0:
+            claims.append((now, free))
+            need -= free
+        for free_at, count in self._free_runs:
+            if count >= need:
+                claims.append((free_at, need))
+                break
+            claims.append((free_at, count))
+            need -= count
+        return claims
 
-    def deposit_scheduled(self, land_flit_pairs):
-        """Deposit flits stamped with precomputed landing times.
+    def deposit_runs(self, runs):
+        """Deposit runs ``(land, packet, first, n)``: flits ``first..
+        first+n-1`` of ``packet``, landing at ``land + k*f``.
 
-        The caller must have obtained slot availability via
-        :meth:`claim_times` at the current instant and computed each
-        ``land`` as ``max(transfer done, claimed slot time)``; slots are
-        claimed in order, currently-free ones first, so the matching
-        number of future-free records is consumed here.
+        The caller must have obtained the slots from :meth:`claim_runs` at
+        the current instant and landed each segment at ``max(transfer
+        done, first slot)``; slots are claimed in order, currently-free
+        ones first, so the matching number of future-free slots is
+        consumed here.
         """
         free = self.free_slots()
-        entries = self._entries
         count = 0
-        for pair in land_flit_pairs:
-            entries.append(pair)
-            count += 1
+        for land, packet, first, n in runs:
+            self._append_run(land, packet, first, n)
+            count += n
         claimed_future = count - free
         if claimed_future > 0:
-            frees = self._frees
-            if claimed_future > len(frees):
+            if claimed_future > self._future:
                 raise RuntimeError(
                     "%s: deposited %d flits into %d claimable slots"
-                    % (self.name, count, free + len(frees))
+                    % (self.name, count, free + self._future)
                 )
-            for _ in range(claimed_future):
+            self._future -= claimed_future
+            frees = self._free_runs
+            while claimed_future:
+                run = frees[0]
+                if run[1] > claimed_future:
+                    run[0] += claimed_future * self._flit_ns
+                    run[1] -= claimed_future
+                    break
+                claimed_future -= run[1]
                 frees.popleft()
         self.flits_moved.bump(count)
         self._not_empty.fire()
@@ -258,7 +286,7 @@ class Link:
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
     def ckpt_capture(self):
-        """Buffered flits plus declared future-free times.
+        """Buffered flits plus declared future-free times, one by one.
 
         Flits of one packet share the packet object; the capture dedupes by
         identity (``packet_index`` into a side table) so the restore
@@ -267,95 +295,118 @@ class Link:
         outstanding frees), but the component capture is general so link
         state round-trips in isolation tests.
         """
+        flit_ns = self._flit_ns
         packet_states = []
         packet_index_by_id = {}
         entries = []
-        for ready_at, flit in self._entries:
-            key = id(flit.packet)
+        for t0, packet, first, n in self._runs:
+            key = id(packet)
             index = packet_index_by_id.get(key)
             if index is None:
                 index = len(packet_states)
                 packet_index_by_id[key] = index
-                packet_states.append(flit.packet.to_state())
-            entries.append(
-                [ready_at, index, flit.index, flit.is_head, flit.is_tail]
-            )
+                packet_states.append(packet.to_state())
+            tail = packet.flit_count(self.params.flit_bytes) - 1
+            for k in range(n):
+                flit = first + k
+                entries.append(
+                    [t0 + k * flit_ns, index, flit, flit == 0, flit == tail]
+                )
         return {
             "packets": packet_states,
             "entries": entries,
-            "frees": list(self._frees),
+            "frees": [t0 + k * flit_ns
+                      for t0, n in self._free_runs for k in range(n)],
         }
 
     def ckpt_restore(self, state):
-        from repro.mesh.packet import Flit, Packet
+        from repro.mesh.packet import Packet
 
         packets = [Packet.from_state(ps) for ps in state["packets"]]
-        self._entries.clear()
-        for ready_at, packet_index, flit_index, is_head, is_tail in state["entries"]:
-            flit = Flit(packets[packet_index], flit_index, is_head, is_tail)
-            self._entries.append((ready_at, flit))
-        self._frees.clear()
-        self._frees.extend(state["frees"])
+        self._runs.clear()
+        self._buffered = 0
+        for ready_at, packet_index, flit, _is_head, _is_tail in state["entries"]:
+            self._append_run(ready_at, packets[packet_index], flit, 1)
+        self._free_runs.clear()
+        self._future = 0
+        for free_at in state["frees"]:
+            self._append_frees(free_at, 1)
 
     def ckpt_idle(self):
         """True when the link holds no state a safepoint would need to
         serialize: nothing buffered and every declared free matured."""
-        return not self._entries and self.free_slots() == self.capacity
+        return not self._runs and self.free_slots() == self.capacity
 
     # -- reader side -----------------------------------------------------------
 
     def receive(self):
-        """Generator: take the next flit, blocking while the link is empty.
+        """Generator: take the next flit ``(packet, index)``, blocking while
+        the link is empty.
 
         A deposited flit is only handed over once its transfer-completion
         stamp matures.
         """
+        runs = self._runs
         while True:
-            if self._entries:
-                ready_at, flit = self._entries[0]
+            if runs:
+                run = runs[0]
                 now = self.sim._now
-                if ready_at <= now:
-                    self._entries.popleft()
+                if run[0] <= now:
+                    flit = (run[1], run[2])
+                    if run[3] == 1:
+                        runs.popleft()
+                    else:
+                        run[0] += self._flit_ns
+                        run[2] += 1
+                        run[3] -= 1
+                    self._buffered -= 1
                     self._not_full.fire()
                     return flit
-                yield Timeout(ready_at - now)
+                yield Timeout(run[0] - now)
             else:
                 yield self._wait_not_empty
 
-    def try_receive(self):
-        """Non-blocking receive.  Returns (True, flit) or (False, None)."""
-        if self._entries and self._entries[0][0] <= self.sim._now:
-            _, flit = self._entries.popleft()
-            self._not_full.fire()
-            return True, flit
-        return False, None
+    def peek_runs(self):
+        """The buffered runs ``[t0, packet, first, n]``, oldest first
+        (read-only).
 
-    def peek_entries(self):
-        """The deposited (ready_at, flit) queue, oldest first (read-only).
-
-        Entries may carry future stamps; a batching reader must account
-        for them (see :meth:`pop_entries`).
+        Runs may carry future stamps; a batching reader must account for
+        them (see :meth:`pop_runs`).
         """
-        return self._entries
+        return self._runs
 
-    def pop_entries(self, count, free_times):
-        """Consume ``count`` deposited flits ahead of their hand-over times.
+    def pop_runs(self, count, free_runs):
+        """Consume ``count`` buffered flits ahead of their hand-over times.
 
-        ``free_times[j]`` is the simulated time the j-th slot is to be
-        considered free -- the time the per-flit reference reader would
-        have popped it.  Slots with future free times stay counted against
+        ``free_runs`` lists ``(t0, n)`` segments covering the ``count``
+        slots in order: slot ``k`` of a segment is to be considered free
+        at ``t0 + k*f`` -- the time the per-flit reference reader would
+        have popped it.  Slots freeing after ``now`` stay counted against
         the writer's capacity until they mature.  A parked writer is woken
         immediately even for future frees: it can *claim* the slot right
-        away (see :meth:`claim_times`) and stamp its flit with the exact
-        per-flit landing time, instead of sleeping to the maturity first.
+        away (see :meth:`claim_runs`) and land its flit at the exact
+        per-flit time, instead of sleeping to the maturity first.
         """
-        entries = self._entries
-        frees = self._frees
+        flit_ns = self._flit_ns
+        runs = self._runs
+        self._buffered -= count
+        while count:
+            run = runs[0]
+            n = run[3]
+            if n > count:
+                run[0] += count * flit_ns
+                run[2] += count
+                run[3] = n - count
+                break
+            count -= n
+            runs.popleft()
         now = self.sim._now
-        for j in range(count):
-            entries.popleft()
-            free_at = free_times[j]
-            if free_at > now:
-                frees.append(free_at)
+        for free_at, n in free_runs:
+            if free_at <= now:
+                matured = (now - free_at) // flit_ns + 1
+                if matured >= n:
+                    continue
+                free_at += matured * flit_ns
+                n -= matured
+            self._append_frees(free_at, n)
         self._not_full.fire()
-

@@ -1,12 +1,17 @@
-"""Network packet format, CRC and flit serialisation.
+"""Network packet format and CRC.
 
 "A packet consists of routing information, the absolute mesh coordinates of
 the intended receiver, destination memory address, data, and a CRC checksum
 to detect network errors." (paper section 3.1)
 
-Packets are serialised into 16-bit flits for wormhole transmission; the
-head flit carries the routing information, the tail flit carries the CRC.
+Packets travel as 16-bit flits for wormhole transmission; the head flit
+carries the routing information, the tail flit carries the CRC.  The mesh
+names a flit by ``(packet, index)`` (see :mod:`repro.mesh.link`), so a
+packet only needs to know its :meth:`Packet.flit_count`.
 """
+
+import struct
+from binascii import crc_hqx
 
 from repro.memsys.address import WORD_SIZE
 
@@ -20,32 +25,9 @@ class PacketError(Exception):
     """Raised on malformed packets (bad CRC, wrong destination)."""
 
 
-_CRC16_POLY = 0x1021  # CRC-16/CCITT
-
-
-def _crc16_table():
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ _CRC16_POLY) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-        table.append(crc)
-    return tuple(table)
-
-
-_CRC16_TABLE = _crc16_table()
-
-
 def crc16(data, initial=0xFFFF):
-    """CRC-16/CCITT-FALSE over a byte sequence (table-driven, byte at a time)."""
-    crc = initial
-    table = _CRC16_TABLE
-    for byte in data:
-        crc = ((crc << 8) & 0xFF00) ^ table[(crc >> 8) ^ byte]
-    return crc
+    """CRC-16/CCITT-FALSE (poly 0x1021, no reflection) over a byte sequence."""
+    return crc_hqx(data, initial)
 
 
 class Packet:
@@ -104,7 +86,8 @@ class Packet:
         header += self.dest_addr.to_bytes(8, "little")
         header += len(self.payload).to_bytes(2, "little")
         header += self.kind.to_bytes(2, "little")
-        body = b"".join((w & 0xFFFFFFFF).to_bytes(4, "little") for w in self.payload)
+        body = struct.pack("<%dI" % len(self.payload),
+                           *[w & 0xFFFFFFFF for w in self.payload])
         return header + body
 
     # -- integrity --------------------------------------------------------------
@@ -153,14 +136,6 @@ class Packet:
     def flit_count(self, flit_bytes):
         return -(-self.size_bytes // flit_bytes)  # ceiling division
 
-    def to_flits(self, flit_bytes):
-        """Serialise into a head...tail flit sequence for wormhole routing."""
-        count = self.flit_count(flit_bytes)
-        return [
-            Flit(self, index, is_head=(index == 0), is_tail=(index == count - 1))
-            for index in range(count)
-        ]
-
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
     def to_state(self):
@@ -207,18 +182,3 @@ class Packet:
             len(self.payload),
         )
 
-
-class Flit:
-    """One flow-control unit of a packet on a link."""
-
-    __slots__ = ("packet", "index", "is_head", "is_tail")
-
-    def __init__(self, packet, index, is_head, is_tail):
-        self.packet = packet
-        self.index = index
-        self.is_head = is_head
-        self.is_tail = is_tail
-
-    def __repr__(self):
-        marks = ("H" if self.is_head else "") + ("T" if self.is_tail else "")
-        return "Flit(%d%s of %r)" % (self.index, marks, self.packet)

@@ -116,46 +116,45 @@ class Router:
         while True:
             while self._stalled:
                 yield self._wait_resume
-            pending = in_link.peek_entries()
-            if pending:
+            runs = in_link.peek_runs()
+            if runs:
                 # Fold the head flit's arrival-stamp wait and the routing
                 # decision latency into one sleep (the reference reader
                 # pops at the stamp, then pays the hop delay).
-                ready_at, flit = pending[0]
+                ready_at, packet, index, _n = runs[0]
                 now = self.sim._now
                 recv = ready_at if ready_at > now else now
-                in_link.pop_entries(1, (recv,))
+                in_link.pop_runs(1, ((recv, 1),))
                 head_delay = recv + self.params.router_hop_ns - now
             else:
-                flit = yield from in_link.receive()
+                packet, index = yield from in_link.receive()
                 head_delay = self.params.router_hop_ns
-            if not flit.is_head:
+            if index:
                 raise RoutingError(
-                    "%s.%s: worm out of sync, got %r expecting a head flit"
-                    % (self.name, port, flit)
+                    "%s.%s: worm out of sync, got flit %d of %r expecting a "
+                    "head flit" % (self.name, port, index, packet)
                 )
             # A stall that landed while we were parked in receive() still
             # freezes this worm before its routing decision.
             while self._stalled:
                 yield self._wait_resume
-            out_name = self.route(flit.packet.routing_coords)
+            out_name = self.route(packet.routing_coords)
             output = self.outputs[out_name]
             if output.link is None:
                 raise RoutingError(
                     "%s: no %s link for %r (mesh edge?)"
-                    % (self.name, out_name, flit.packet)
+                    % (self.name, out_name, packet)
                 )
             # Head-flit routing decision latency.
             yield Timeout(head_delay)
-            yield from output.mutex.acquire(owner=flit.packet)
+            yield from output.mutex.acquire(owner=packet)
             try:
-                yield from self._forward_worm(flit, in_link, output.link)
+                yield from self._forward_worm(packet, in_link, output.link)
             finally:
                 output.mutex.release()
             self.packets_routed.bump()
             hub = self.instr
             if hub.active:
-                packet = flit.packet
                 hub.emit(
                     self.name,
                     "mesh.route",
@@ -164,22 +163,23 @@ class Router:
                     dest=list(packet.dest_coords),
                 )
 
-    def _forward_worm(self, head, in_link, out_link):
+    def _forward_worm(self, packet, in_link, out_link):
         """Generator: forward a worm (head flit in hand) through to its tail.
 
         The per-flit reference behaviour is receive (waiting for the flit's
         arrival stamp), then send (one link transfer time, blocking while
         the output buffer is full).  This loop computes the same pipeline
-        schedule arithmetically -- each flit is received at
-        ``max(previous send done, arrival)`` and lands at
-        ``max(receive + transfer time, claimed slot time)`` -- declaring
-        input slots free at the computed receive times and stamping output
-        flits with the computed landing times, so neighbours observe
-        timing identical to the per-flit path even under backpressure.
-        Three regimes:
+        schedule in closed form, one segment at a time, where a segment is
+        the overlap of a buffered input run (ready at ``r0 + k*f``) and a
+        claimed output slot segment (first slot at ``slot``).  With ``done``
+        the previous flit's landing time, ``R = max(r0, done)`` and
+        ``L0 = max(R + f, slot)``, the segment's flits are received at
+        ``R, L0, L0 + f, ...`` (declared as input slot-free times) and land
+        at ``L0, L0 + f, ...``, so neighbours observe timing identical to
+        the per-flit path even under backpressure.  Three regimes:
 
         - output slots claimable (free now or at declared future times):
-          forward as many deposited flits as there are claims, no sleeps;
+          forward as many buffered flits as there are claims, no sleeps;
         - output starved (buffered flits the downstream reader has not
           committed to): consume the next flit at its reference receive
           time, park until a slot is claimable, then place the flit
@@ -192,77 +192,82 @@ class Router:
         landing time, where the output port is released.
         """
         flit_ns = self.params.link_flit_ns
+        nflits = packet.flit_count(self.params.flit_bytes)
         sim = self.sim
         # The head flit is placed arithmetically too: it lands at
         # ``max(transfer done, claimed slot time)``, parking first only if
         # nothing is claimable -- exactly the blocking send, minus its
         # transfer sleep.
         transfer_done = sim._now + flit_ns
-        claim = out_link.claim_times(1)
-        if not claim:
+        claims = out_link.claim_runs(1)
+        if not claims:
             yield from out_link.wait_claimable()
-            claim = out_link.claim_times(1)
-        done = transfer_done if transfer_done > claim[0] else claim[0]
-        out_link.deposit_scheduled(((done, head),))
-        count = 1
-        if head.is_tail:
-            self.flits_forwarded.bump(count)
-            if done > sim._now:
-                yield Timeout(done - sim._now)
-            return
-        while True:
-            pending = in_link.peek_entries()
-            if not pending:
+            claims = out_link.claim_runs(1)
+        slot_at = claims[0][0]
+        done = transfer_done if transfer_done > slot_at else slot_at
+        out_link.deposit_runs(((done, packet, 0, 1),))
+        sent = 1
+        while sent < nflits:
+            runs = in_link.peek_runs()
+            if not runs:
                 if done > sim._now:
                     # Catch up to the reference clock first; flits may
                     # arrive meanwhile, so re-peek before blocking.
                     yield Timeout(done - sim._now)
                     continue
                 flit = yield from in_link.receive()
-                yield from out_link.send(flit)
-                count += 1
+                yield from out_link.send(*flit)
+                sent += 1
                 done = sim._now
-                if flit.is_tail:
-                    break
                 continue
-            claim = out_link.claim_times(len(pending))
-            if claim:
-                recv_times = []
-                sends = []
-                batch = len(claim)
-                for ready_at, flit in pending:
-                    recv = ready_at if ready_at > done else done
-                    land = recv + flit_ns
-                    slot_at = claim[len(sends)]
-                    if slot_at > land:
-                        land = slot_at
-                    recv_times.append(recv)
-                    sends.append((land, flit))
-                    done = land
-                    if flit.is_tail or len(sends) >= batch:
-                        break
-                in_link.pop_entries(len(sends), recv_times)
-                out_link.deposit_scheduled(sends)
-                count += len(sends)
-                if flit.is_tail:
-                    break
+            limit = nflits - sent
+            buffered = in_link.occupancy
+            claims = out_link.claim_runs(
+                buffered if buffered < limit else limit)
+            if claims:
+                free_runs = []
+                out_runs = []
+                run_iter = iter(runs)
+                avail = count = 0
+                for slot_at, need in claims:
+                    while need:
+                        if not avail:
+                            ready_at, _packet, index, avail = next(run_iter)
+                        n = avail if avail < need else need
+                        recv = ready_at if ready_at > done else done
+                        land = recv + flit_ns
+                        if slot_at > land:
+                            land = slot_at
+                        free_runs.append((recv, 1))
+                        if n > 1:
+                            free_runs.append((land, n - 1))
+                        out_runs.append((land, packet, index, n))
+                        done = land + (n - 1) * flit_ns
+                        ready_at += n * flit_ns
+                        index += n
+                        avail -= n
+                        need -= n
+                        count += n
+                        # The rest of a split slot segment trails the
+                        # landing times, so it can never bind.
+                        slot_at = 0
+                in_link.pop_runs(count, free_runs)
+                out_link.deposit_runs(out_runs)
+                sent += count
                 continue
             # Starved: consume the next flit exactly when the reference
             # reader would, then park until the downstream reader frees a
             # slot.  The landing time is computed on wake-up, so a blocked
             # worm costs one event per flit.
-            ready_at, flit = pending[0]
+            ready_at, _packet, index, _n = runs[0]
             recv = ready_at if ready_at > done else done
-            in_link.pop_entries(1, (recv,))
+            in_link.pop_runs(1, ((recv, 1),))
             transfer_done = recv + flit_ns
             yield from out_link.wait_claimable()
-            slot_at = out_link.claim_times(1)[0]
-            land = transfer_done if transfer_done > slot_at else slot_at
-            out_link.deposit_scheduled(((land, flit),))
-            done = land
-            count += 1
-            if flit.is_tail:
-                break
-        self.flits_forwarded.bump(count)
+            slot_at = out_link.claim_runs(1)[0][0]
+            done = transfer_done if transfer_done > slot_at else slot_at
+            out_link.deposit_runs(((done, packet, index, 1),))
+            sent += 1
+        self.flits_forwarded.bump(sent)
         if done > sim._now:
             yield Timeout(done - sim._now)

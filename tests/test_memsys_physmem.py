@@ -97,3 +97,30 @@ def test_memory_behaves_like_dict(writes):
         model[word_index] = value
     for word_index, value in model.items():
         assert mem.read_word(word_index * 4) == value
+
+
+@pytest.mark.parametrize("word_view", [True, False])
+@given(
+    first=st.integers(min_value=0, max_value=63),
+    values=st.lists(st.integers(min_value=-(1 << 33), max_value=1 << 33),
+                    min_size=1, max_size=64),
+    raw=st.binary(min_size=256, max_size=256),
+)
+def test_word_access_round_trips_little_endian_bytes(word_view, first, values,
+                                                    raw):
+    """Word reads and writes agree with the byte view, little-endian."""
+    mem = PhysicalMemory(512)
+    if not word_view:
+        mem._words = None  # the byte path a big-endian host takes
+    values = values[: 64 - first]
+    addr = first * 4
+    mem.write_words(addr, values)
+    expected = b"".join((v & 0xFFFFFFFF).to_bytes(4, "little") for v in values)
+    assert mem.dump_bytes(addr, len(expected)) == expected
+    mem.write_word(addr, values[0] ^ 0x80000001)
+    assert mem.dump_bytes(addr, 4) == (
+        ((values[0] ^ 0x80000001) & 0xFFFFFFFF).to_bytes(4, "little"))
+    mem.load_bytes(256, raw)
+    words = [int.from_bytes(raw[i : i + 4], "little") for i in range(0, 256, 4)]
+    assert mem.read_words(256, 64) == words
+    assert [mem.read_word(256 + 4 * i) for i in range(64)] == words

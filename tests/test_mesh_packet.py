@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.mesh import Packet, crc16, PacketError
+from repro.memsys.params import MeshParams
+from repro.mesh import Link, Packet, crc16, PacketError
 from repro.mesh.packet import HEADER_BYTES, CRC_BYTES
+from repro.sim import Process, Simulator
 
 
 def make_packet(payload=(1, 2, 3), dest=(1, 1), src=(0, 0), addr=0x1000):
@@ -18,6 +20,24 @@ def test_crc16_known_vector():
 
 def test_crc16_empty():
     assert crc16(b"") == 0xFFFF
+
+
+def _crc16_bitwise(data, crc):
+    """Reference CRC-16/CCITT-FALSE: MSB first, one bit at a time."""
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x1021) if crc & 0x8000 else crc << 1
+            crc &= 0xFFFF
+    return crc
+
+
+@given(
+    data=st.binary(min_size=0, max_size=4096),
+    initial=st.sampled_from([0xFFFF, 0, 0x1D0F]),
+)
+def test_crc16_matches_bitwise_oracle(data, initial):
+    assert crc16(data, initial) == _crc16_bitwise(data, initial)
 
 
 def test_packet_requires_payload():
@@ -57,15 +77,25 @@ def test_size_accounting():
 
 
 def test_flit_serialisation_structure():
+    """A worm on a link is its packet's flits ``(packet, 0..n-1)`` in order:
+    index 0 is the head, ``flit_count - 1`` the tail."""
     pkt = make_packet(payload=[1])
-    flits = pkt.to_flits(flit_bytes=2)
-    assert len(flits) == pkt.flit_count(2)
-    assert flits[0].is_head and not flits[0].is_tail
-    assert flits[-1].is_tail and not flits[-1].is_head
-    assert all(f.packet is pkt for f in flits)
-    assert [f.index for f in flits] == list(range(len(flits)))
-    for middle in flits[1:-1]:
-        assert not middle.is_head and not middle.is_tail
+    sim = Simulator()
+    link = Link(sim, MeshParams())
+    nflits = pkt.flit_count(2)
+    got = []
+
+    def produce():
+        yield from link.send_worm(pkt, nflits)
+
+    def consume():
+        for _ in range(nflits):
+            got.append((yield from link.receive()))
+
+    Process(sim, produce(), "producer").start()
+    Process(sim, consume(), "consumer").start()
+    sim.run_until_idle()
+    assert got == [(pkt, index) for index in range(nflits)]
 
 
 def test_single_word_packet_flit_count():
@@ -83,9 +113,8 @@ def test_single_word_packet_flit_count():
 def test_flits_cover_packet_exactly(payload, flit_bytes):
     """Property: flit count covers the packet size with no gap or overlap."""
     pkt = Packet((0, 0), (1, 0), 0x100, payload)
-    flits = pkt.to_flits(flit_bytes)
-    assert (len(flits) - 1) * flit_bytes < pkt.size_bytes <= len(flits) * flit_bytes
-    assert flits[0].is_head and flits[-1].is_tail
+    nflits = pkt.flit_count(flit_bytes)
+    assert (nflits - 1) * flit_bytes < pkt.size_bytes <= nflits * flit_bytes
 
 
 @given(
