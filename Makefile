@@ -42,8 +42,8 @@ bench-simspeed:
 	python -m benchmarks.bench_simspeed $(if $(FORCE),--force)
 
 # Checkpoint size + save/restore time at two system scales; refuses to
-# record a >10% size or >50% wall-time regression into BENCH_ckpt.json
-# (override with FORCE=1).
+# record any size change or a >50% wall-time regression into
+# BENCH_ckpt.json (override with FORCE=1).
 bench-ckpt:
 	python -m benchmarks.bench_ckpt $(if $(FORCE),--force)
 

@@ -20,9 +20,10 @@ future PRs can regress against them:
     python -m benchmarks.bench_ckpt --quick    # smoke test; never writes
     make bench-ckpt                            # same as the first form
 
-The size gate is strict (checkpoints growing >10% refuse to record --
-state that sneaks into the snapshot is a format change and should be a
-deliberate one); the wall-time gates are loose (>50%, host-dependent).
+The size gate is exact: the format is canonical, so any change in
+``ckpt_bytes`` -- growth or shrinkage -- is a format change and refuses to
+record until ``--force`` marks it deliberate.  The wall-time gates are
+loose (>50%, host-dependent).
 """
 
 import argparse
@@ -39,7 +40,6 @@ from repro.ckpt.system import SystemCheckpoint
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_ckpt.json")
-SIZE_TOLERANCE = 0.10  # refuse if the checkpoint grew >10%
 TIME_TOLERANCE = 0.50  # refuse if save/restore got >50% slower
 
 
@@ -121,9 +121,7 @@ def run_all(quick=False, repeat=3):
     return results
 
 
-def check_regression(old, new,
-                     size_tolerance=SIZE_TOLERANCE,
-                     time_tolerance=TIME_TOLERANCE):
+def check_regression(old, new, time_tolerance=TIME_TOLERANCE):
     """Return human-readable regressions versus the recorded baselines."""
     problems = []
     old_scales = old.get("scales", {})
@@ -131,14 +129,11 @@ def check_regression(old, new,
         prior = old_scales.get(name)
         if not prior:
             continue
-        if "ckpt_bytes" in prior:
-            ceiling = prior["ckpt_bytes"] * (1.0 + size_tolerance)
-            if result["ckpt_bytes"] > ceiling:
-                problems.append(
-                    "%s: checkpoint is %d bytes, >%d%% above the recorded %d"
-                    % (name, result["ckpt_bytes"], int(size_tolerance * 100),
-                       prior["ckpt_bytes"])
-                )
+        if "ckpt_bytes" in prior and result["ckpt_bytes"] != prior["ckpt_bytes"]:
+            problems.append(
+                "%s: checkpoint is %d bytes, the recorded format is %d"
+                % (name, result["ckpt_bytes"], prior["ckpt_bytes"])
+            )
         for key in ("save_wall_s", "restore_wall_s"):
             if key not in prior:
                 continue
@@ -155,7 +150,8 @@ def check_regression(old, new,
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--force", action="store_true",
-                        help="overwrite BENCH_ckpt.json even on regression")
+                        help="overwrite BENCH_ckpt.json even on regression "
+                             "or a size change")
     parser.add_argument("--output", default=DEFAULT_OUTPUT,
                         help="result file (default: repo BENCH_ckpt.json)")
     parser.add_argument("--quick", action="store_true",

@@ -18,6 +18,7 @@ marks unmapped-out pages read-only and re-establishes mappings on write
 faults (section 4.4).
 """
 
+from repro.ckpt.protocol import Checkpointable
 from repro.cpu.isa import Reg, WORD_MASK, _NO_YIELDS
 from repro.memsys.cache import CachePolicy
 from repro.sim.instrument import Instrumentation
@@ -37,7 +38,7 @@ class PageFault(Exception):
         self.reason = reason
 
 
-class InstructionCounts:
+class InstructionCounts(Checkpointable):
     """Retired-instruction accounting with named regions.
 
     Regions are opened/closed by ``RegionMarker`` pseudo-instructions; a
@@ -51,6 +52,8 @@ class InstructionCounts:
     innermost open (closes are just decrements, so nesting order cannot
     be confused the way a first-occurrence list removal could).
     """
+
+    CKPT = ("total", "by_region", "copy_words", "_active")
 
     def __init__(self):
         self.total = 0
@@ -87,20 +90,6 @@ class InstructionCounts:
         self.by_region = {}
         self.copy_words = 0
         self._active = {}
-
-    def ckpt_capture(self):
-        return {
-            "total": self.total,
-            "by_region": dict(self.by_region),
-            "copy_words": self.copy_words,
-            "active": dict(self._active),
-        }
-
-    def ckpt_restore(self, state):
-        self.total = state["total"]
-        self.by_region = dict(state["by_region"])
-        self.copy_words = state["copy_words"]
-        self._active = dict(state["active"])
 
 
 class RegisterFile:
@@ -167,8 +156,25 @@ class Context:
         return other
 
 
-class Cpu:
-    """One node CPU."""
+class Cpu(Checkpointable):
+    """One node CPU.
+
+    The checkpoint holds the retirement accounting.  Architectural
+    contexts belong to their workload and are captured there; safepoints
+    guarantee no interrupt is pending and no preemption requested.
+    """
+
+    CKPT = ("counts", "cycles_retired")
+    CKPT_SKIP = {
+        "context": "owned by the workload, which captures it and rewires "
+                   "the pointer after restore",
+        "program": "owned by the workload, like context",
+        "_jump_target": "set and consumed within one instruction",
+        "_pending_interrupts": "empty at a safepoint; restore clears it",
+        "_preempt": "clear at a safepoint; restore clears it",
+        "_interrupt_handlers": "wiring: live callables registered once at "
+                               "construction, identical after restore",
+    }
 
     def __init__(self, sim, cache, mmu, params, name="cpu"):
         self.sim = sim
@@ -176,17 +182,12 @@ class Cpu:
         self.mmu = mmu
         self.params = params
         self.name = name
-        # Architectural contexts belong to the workload / OS process and
-        # are captured there (see ckpt_capture); the pointers are rewired
-        # by the scheduler after restore.
-        self.context = None  # simlint: ignore[SL201] externally owned
-        self.program = None  # simlint: ignore[SL201] externally owned
+        self.context = None
+        self.program = None
         self.counts = InstructionCounts()
         self.cycles_retired = 0
         self._jump_target = None
         self._pending_interrupts = []
-        # simlint: ignore[SL201] wiring: live callables registered once at
-        # construction time by the kernel/devices, identical after restore
         self._interrupt_handlers = {}
         self.syscall_handler = None  # set by the kernel
         self.fault_handler = None  # set by the kernel
@@ -369,22 +370,11 @@ class Cpu:
 
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
-    def ckpt_capture(self):
-        """Retirement accounting.  Architectural contexts belong to their
-        workload (or OS process) and are captured there; safepoints
-        guarantee ``_pending_interrupts`` is empty and ``_preempt`` clear,
-        so neither needs a slot here."""
-        return {
-            "counts": self.counts.ckpt_capture(),
-            "cycles_retired": self.cycles_retired,
-        }
-
     def ckpt_restore(self, state):
-        self.counts.ckpt_restore(state["counts"])
-        self.cycles_retired = state["cycles_retired"]
         self._jump_target = None
         self._pending_interrupts = []
         self._preempt = False
+        super().ckpt_restore(state)
 
     def run_to_halt(self, program, context=None):
         """Generator: convenience wrapper running one program to completion.

@@ -4,8 +4,8 @@ Rule families (full documentation: ``docs/static-analysis.md``):
 
 - ``SL1xx`` determinism -- no wall clocks, entropy, hash-order or
   identity-order dependence in sim code;
-- ``SL2xx`` checkpoint coverage -- mutable state must be covered by
-  ``ckpt_capture``/``ckpt_restore``, and the two key sets must match;
+- ``SL2xx`` checkpoint coverage -- mutable state of a ``Checkpointable``
+  must be declared in ``CKPT`` or, with a reason, in ``CKPT_SKIP``;
 - ``SL3xx`` instrumentation hygiene -- metric/event names are literal,
   grammatical, and registered through the hub;
 - ``SL4xx`` callback safety -- engine callbacks never re-enter ``run()``,

@@ -10,7 +10,6 @@ row to the rule table in the docs.
 from repro.lint import (
     rules_callback,
     rules_ckpt,
-    rules_ckpt_project,
     rules_determinism,
     rules_dsm,
     rules_faults,
@@ -33,7 +32,6 @@ def all_rules():
         + rules_dsm.RULES
         + rules_protocol.RULES
         + rules_vocab.RULES
-        + rules_ckpt_project.RULES
     )
     # Numeric sort: "SL1001" must come after "SL903", not before "SL201".
     return sorted(rules, key=lambda rule: int(rule.code[2:]))

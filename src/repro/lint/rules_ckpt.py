@@ -1,13 +1,13 @@
 """SL2xx: checkpoint-coverage rules.
 
-The ``Checkpointable`` protocol (``repro.ckpt.protocol``) demands that
-``ckpt_capture`` fully describe a component's mutable simulation state
-and that ``ckpt_restore`` be its exact inverse.  The classic regression
-is *drift*: a new mutable attribute is added to ``__init__`` and touched
-on the datapath, but nobody extends capture/restore, so checkpoints
-silently stop being complete.  These rules cross-check, per class
-implementing the protocol, the attribute set assigned in ``__init__``
-against the key set captured and restored.
+A ``Checkpointable`` component (``repro.ckpt.protocol``) declares its
+state once: ``CKPT`` lists the checkpointed fields and ``CKPT_SKIP`` maps
+each attribute that is deliberately not state to the reason why.  The
+generic capture and restore both read ``CKPT``, so they cannot drift
+apart; what can still drift is the declaration itself.  The classic
+regression is a new mutable attribute added to ``__init__`` and touched
+on the datapath, declared nowhere, so checkpoints silently stop being
+complete.  SL201 catches it.
 
 Heuristics (documented in docs/static-analysis.md):
 
@@ -20,13 +20,9 @@ Heuristics (documented in docs/static-analysis.md):
   attributes initialized by instantiating another class (``Signal(...)``,
   ``PacketFifo(...)``, ``self.instr.counter(...)``) are sub-components
   that own their own checkpoint state.  Neither is required here.
-- An attribute is *covered* when ``ckpt_restore`` assigns it, or when its
-  name (modulo a leading underscore) appears among the captured keys.
-
-Deliberate exclusions (transient wiring, observer output, state rebuilt
-by ``SystemCheckpoint``) should carry an inline
-``# simlint: ignore[SL201]`` with a one-line justification -- that
-comment is exactly the documentation the next reader needs.
+- An attribute is *classified* when its name appears in the class's
+  literal ``CKPT`` tuple (bare or as the first item of a codec entry) or
+  among the literal keys of ``CKPT_SKIP``.
 """
 
 import ast
@@ -44,7 +40,9 @@ _MUTATOR_METHODS = {
     "discard", "clear", "sort", "reverse",
 }
 
-_PROTOCOL_METHODS = {"ckpt_capture", "ckpt_restore"}
+# Overrides may reset an attribute around super(); that alone does not
+# make it datapath state.
+_PROTOCOL_METHODS = {"ckpt_capture", "ckpt_restore", "ckpt_check"}
 
 # Hub registrations return metric objects whose state the hub captures.
 _HUB_REGISTRATIONS = {"counter", "timeseries", "histogram", "probe"}
@@ -172,139 +170,56 @@ def _mutated_attrs(methods, skip=()):
     return mutated
 
 
-def _captured_keys(capture):
-    """Every string dict key appearing anywhere in ckpt_capture.
-
-    Over-approximate on purpose: composite captures build nested dicts
-    and helper variables, and a missed key would be a false positive.
-    """
-    keys = set()
-    for node in ast.walk(capture):
-        if isinstance(node, ast.Dict):
-            keys.update(literal_str_keys(node))
-        elif isinstance(node, ast.Call):
-            for keyword in node.keywords:
-                if keyword.arg:
-                    keys.add(keyword.arg)
-    return keys
+def _is_checkpointable(class_node):
+    for base in class_node.bases:
+        if isinstance(base, ast.Name) and base.id == "Checkpointable":
+            return True
+        if isinstance(base, ast.Attribute) and base.attr == "Checkpointable":
+            return True
+    return False
 
 
-def _top_level_capture_keys(capture):
-    """Keys of the dict literal(s) ckpt_capture actually returns.
-
-    Follows one level of ``name = {...}; ...; return name`` indirection
-    and ``name["k"] = ...`` additions.  Returns None when the return
-    value cannot be resolved to dict literals (rule SL202/SL203 then
-    stays silent rather than guessing).
-    """
-    returned_names = set()
-    keys = set()
-    resolved = False
-    for node in ast.walk(capture):
-        if isinstance(node, ast.Return) and node.value is not None:
-            if isinstance(node.value, ast.Dict):
-                keys.update(literal_str_keys(node.value))
-                resolved = True
-            elif isinstance(node.value, ast.Name):
-                returned_names.add(node.value.id)
-            else:
-                return None
-    if returned_names:
-        for node in ast.walk(capture):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id in returned_names
+def _declared_attrs(class_node):
+    """Attribute names listed in the class's literal CKPT and CKPT_SKIP."""
+    declared = set()
+    for item in class_node.body:
+        if not (isinstance(item, ast.Assign) and len(item.targets) == 1
+                and isinstance(item.targets[0], ast.Name)):
+            continue
+        name, value = item.targets[0].id, item.value
+        if name == "CKPT" and isinstance(value, (ast.Tuple, ast.List)):
+            for entry in value.elts:
+                if isinstance(entry, (ast.Tuple, ast.List)) and entry.elts:
+                    entry = entry.elts[0]
+                if isinstance(entry, ast.Constant) and isinstance(
+                    entry.value, str
                 ):
-                    if isinstance(node.value, ast.Dict):
-                        keys.update(literal_str_keys(node.value))
-                        resolved = True
-                    else:
-                        return None
-                elif (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in returned_names
-                    and isinstance(target.slice, ast.Constant)
-                    and isinstance(target.slice.value, str)
-                ):
-                    keys.add(target.slice.value)
-    return keys if resolved else None
-
-
-def _restored_keys(restore):
-    """String keys subscripted off the state parameter in ckpt_restore."""
-    args = restore.args.posonlyargs + restore.args.args
-    if len(args) < 2:
-        return set(), set()
-    state_name = args[1].arg
-    keys = set()
-    for node in ast.walk(restore):
-        if (
-            isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == state_name
-            and isinstance(node.slice, ast.Constant)
-            and isinstance(node.slice.value, str)
-        ):
-            keys.add(node.slice.value)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "get"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == state_name
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-        ):
-            keys.add(node.args[0].value)
-    assigned_attrs = set()
-    for node in ast.walk(restore):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                attr = self_attr(target)
-                if attr is None and isinstance(target, ast.Subscript):
-                    attr = self_attr(target.value)
-                if attr is not None:
-                    assigned_attrs.add(attr)
-        elif isinstance(node, ast.Call) and isinstance(
-            node.func, ast.Attribute
-        ):
-            if node.func.attr in _MUTATOR_METHODS:
-                attr = self_attr(node.func.value)
-                if attr is not None:
-                    assigned_attrs.add(attr)
-    return keys, assigned_attrs
-
-
-def _normalize(name):
-    return name.lstrip("_")
+                    declared.add(entry.value)
+        elif name == "CKPT_SKIP" and isinstance(value, ast.Dict):
+            declared.update(literal_str_keys(value))
+    return declared
 
 
 class CkptCoverageRule(Rule):
-    """SL201: mutable state not covered by ckpt_capture/ckpt_restore.
+    """SL201: mutable state declared in neither CKPT nor CKPT_SKIP.
 
-    For every class implementing both protocol methods: each ``__init__``
+    For every class deriving ``Checkpointable``: each ``__init__``
     attribute that is (heuristically) own mutable simulation state and is
-    mutated by another method must be captured (its name, modulo a
-    leading underscore, appears among captured keys) or assigned during
-    restore.  Anchors on the ``__init__`` assignment line, so deliberate
-    exclusions take an inline ignore *with a justification* right where
-    the attribute is born.
+    mutated by another method must appear in ``CKPT`` (it is checkpointed)
+    or in ``CKPT_SKIP`` (with the reason it is not state).  Anchors on the
+    ``__init__`` assignment line.
     """
 
     code = "SL201"
-    title = "mutable attribute missing from checkpoint capture/restore"
+    title = "mutable attribute missing from CKPT/CKPT_SKIP"
 
     def check(self, module):
         for class_node in ast.walk(module.tree):
             if not isinstance(class_node, ast.ClassDef):
                 continue
-            methods = class_methods(class_node)
-            if not _PROTOCOL_METHODS.issubset(methods):
+            if not _is_checkpointable(class_node):
                 continue
+            methods = class_methods(class_node)
             init = methods.get("__init__")
             if init is None:
                 continue
@@ -312,95 +227,19 @@ class CkptCoverageRule(Rule):
             if not candidates:
                 continue
             mutated = _mutated_attrs(methods, skip=_init_helpers(init))
-            captured = {
-                _normalize(key)
-                for key in _captured_keys(methods["ckpt_capture"])
-            }
-            _, restored_attrs = _restored_keys(methods["ckpt_restore"])
+            declared = _declared_attrs(class_node)
             for attr, line in sorted(candidates.items()):
-                if attr not in mutated:
+                if attr not in mutated or attr in declared:
                     continue
-                if _normalize(attr) in captured or attr in restored_attrs:
-                    continue
-                yield self._attr_finding(
-                    module, class_node, attr, line, mutated[attr]
+                finding = self.finding(
+                    module, class_node,
+                    "%s.%s is mutable state (mutated in %s) but appears in "
+                    "neither CKPT nor CKPT_SKIP; declare it as state or "
+                    "give the reason it is not"
+                    % (class_node.name, attr, mutated[attr]),
                 )
-
-    def _attr_finding(self, module, class_node, attr, line, mutator):
-        finding = self.finding(
-            module, class_node,
-            "%s.%s is mutable state (mutated in %s) but ckpt_capture/"
-            "ckpt_restore never cover it; checkpoint it or mark the "
-            "assignment with an ignore explaining why it is not state"
-            % (class_node.name, attr, mutator),
-        )
-        finding.line = line
-        return finding
+                finding.line = line
+                yield finding
 
 
-class CkptSymmetryRule(Rule):
-    """SL202/SL203: capture and restore key sets drifted apart.
-
-    ``ckpt_restore`` must consume exactly what ``ckpt_capture`` produces:
-    a captured key never read back (SL202) is dead weight or a missed
-    restore; a restored key never captured (SL203) raises ``KeyError`` on
-    the first real checkpoint.  Only checked when the capture's returned
-    dict literal can be resolved statically.
-    """
-
-    code = "SL202"
-    title = "ckpt_capture key never consumed by ckpt_restore"
-
-    def check(self, module):
-        for class_node in ast.walk(module.tree):
-            if not isinstance(class_node, ast.ClassDef):
-                continue
-            methods = class_methods(class_node)
-            if not _PROTOCOL_METHODS.issubset(methods):
-                continue
-            capture_keys = _top_level_capture_keys(methods["ckpt_capture"])
-            if capture_keys is None:
-                continue
-            restored, _ = _restored_keys(methods["ckpt_restore"])
-            if not restored and not capture_keys:
-                continue
-            for key in sorted(capture_keys - restored):
-                yield self.finding(
-                    module, methods["ckpt_restore"],
-                    "%s.ckpt_capture writes key %r but ckpt_restore never "
-                    "reads it" % (class_node.name, key),
-                )
-
-
-class CkptPhantomKeyRule(Rule):
-    """SL203: ckpt_restore reads a key ckpt_capture never writes.
-
-    Restoring a key the capture does not produce fails with ``KeyError``
-    on every real checkpoint -- this is the "renamed the capture key,
-    forgot the restore" drift, caught before a checkpoint file ever
-    exists.  Only checked when the capture dict resolves statically.
-    """
-
-    code = "SL203"
-    title = "ckpt_restore key never produced by ckpt_capture"
-
-    def check(self, module):
-        for class_node in ast.walk(module.tree):
-            if not isinstance(class_node, ast.ClassDef):
-                continue
-            methods = class_methods(class_node)
-            if not _PROTOCOL_METHODS.issubset(methods):
-                continue
-            capture_keys = _top_level_capture_keys(methods["ckpt_capture"])
-            if capture_keys is None:
-                continue
-            restored, _ = _restored_keys(methods["ckpt_restore"])
-            for key in sorted(restored - capture_keys):
-                yield self.finding(
-                    module, methods["ckpt_restore"],
-                    "%s.ckpt_restore reads key %r that ckpt_capture never "
-                    "writes" % (class_node.name, key),
-                )
-
-
-RULES = (CkptCoverageRule(), CkptSymmetryRule(), CkptPhantomKeyRule())
+RULES = (CkptCoverageRule(),)

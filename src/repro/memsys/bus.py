@@ -11,6 +11,7 @@ device has handled it; the NIC's automatic-update mechanism and the caches'
 DMA-invalidation are both snoopers.
 """
 
+from repro.ckpt.protocol import Checkpointable, CkptError
 from repro.sim.instrument import Instrumentation
 from repro.sim.process import Timeout
 from repro.sim.resources import Mutex
@@ -88,19 +89,27 @@ class DramDevice(BusDevice):
         self.memory.write_words(addr, words)
 
 
-class XpressBus:
-    """Arbitrated shared bus with address-decoded devices and snoopers."""
+class XpressBus(Checkpointable):
+    """Arbitrated shared bus with address-decoded devices and snoopers.
+
+    The checkpoint holds the utilisation accounting.  Safepoints guarantee
+    no transaction is in flight (the arbiter mutex is unlocked), so
+    ``busy_ns`` is the only state outside the instrumentation hub.
+    """
+
+    CKPT = ("busy_ns",)
+    CKPT_SKIP = {
+        "_ranges": "wiring built once by attach(), identical after restore",
+        "_snoopers": "wiring: live callables, identical after restore",
+    }
 
     def __init__(self, sim, params, name="xpress"):
         self.sim = sim
         self.params = params
         self.name = name
         self._mutex = Mutex(sim, name + ".arb")
-        # Wiring, not state: devices and snoopers attach while the node is
-        # built and hold live objects; an identically built machine has
-        # identical wiring, so the checkpoint skips both.
-        self._ranges = []  # (lo, hi, device)  # simlint: ignore[SL201] wiring built once by attach()
-        self._snoopers = []  # simlint: ignore[SL201] live callables
+        self._ranges = []  # (lo, hi, device)
+        self._snoopers = []
         self.instr = Instrumentation.of(sim)
         self.transactions = self.instr.counter(name + ".transactions")
         self.words_moved = self.instr.counter(name + ".words")
@@ -159,20 +168,11 @@ class XpressBus:
 
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
-    def ckpt_capture(self):
-        """Utilisation accounting.  Safepoints guarantee no transaction is
-        in flight (the arbiter mutex is unlocked), so ``busy_ns`` is the
-        only state outside the instrumentation hub."""
+    def ckpt_check(self):
         if self._mutex.locked:
-            from repro.ckpt.protocol import CkptError
-
             raise CkptError(
                 "bus %s has a transaction in flight at capture" % self.name
             )
-        return {"busy_ns": self.busy_ns}
-
-    def ckpt_restore(self, state):
-        self.busy_ns = state["busy_ns"]
 
     # -- transaction generators ---------------------------------------------
 

@@ -11,6 +11,7 @@ with *all* main memory updates."  That property is what lets SHRIMP deposit
 incoming network data straight into DRAM with no CPU involvement.
 """
 
+from repro.ckpt.protocol import Checkpointable, Codec
 from repro.sim.instrument import Instrumentation
 from repro.sim.process import Timeout
 
@@ -41,14 +42,53 @@ class _Line:
         self.lru = 0
 
 
-class Cache:
+def _encode_lines(cache, sets):
+    """Valid lines only, addressed by (set, way)."""
+    return [
+        [set_index, way, {"tag": line.tag, "dirty": line.dirty,
+                          "lru": line.lru, "data": list(line.data)}]
+        for set_index, ways in enumerate(sets)
+        for way, line in enumerate(ways)
+        if line.valid
+    ]
+
+
+def _decode_lines(cache, lines, sets):
+    for ways in sets:
+        for line in ways:
+            line.tag = -1
+            line.valid = False
+            line.dirty = False
+            line.data = [0] * cache.words_per_line
+            line.lru = 0
+    for set_index, way, entry in lines:
+        if not (0 <= set_index < len(sets) and 0 <= way < len(sets[0])):
+            raise IndexError("no cache line at set %r way %r"
+                             % (set_index, way))
+        line = sets[set_index][way]
+        line.tag = entry["tag"]
+        line.valid = True
+        line.dirty = entry["dirty"]
+        line.lru = entry["lru"]
+        line.data = list(entry["data"])
+    return sets
+
+
+class Cache(Checkpointable):
     """Set-associative cache in front of the Xpress bus.
 
     ``read``/``write`` are generators used by the CPU via ``yield from``;
     the ``policy`` argument comes from the page-table entry for the page
     being touched.  Write-through uses no-write-allocate (i486 behaviour);
     write-back allocates on both read and write misses.
+
+    ``lru`` values are absolute ticks of ``_lru_clock``, so the checkpoint
+    holds the clock too -- restoring both reproduces every future victim
+    choice.
     """
+
+    CKPT = (("_sets", Codec(_encode_lines, _decode_lines), "lines"),
+            "_lru_clock")
 
     def __init__(self, sim, bus, params, name="cache"):
         self.sim = sim
@@ -232,45 +272,6 @@ class Cache:
                 if hub.active:
                     hub.emit(self.name, "cache.snoop_invalidate",
                              addr=line_base, originator=txn.originator)
-
-    # -- checkpoint protocol (see repro.ckpt) ---------------------------------
-
-    def ckpt_capture(self):
-        """Valid lines only, addressed by (set, way).  ``lru`` values are
-        absolute ticks of ``_lru_clock``, so the clock itself is captured
-        too -- restoring both reproduces every future victim choice."""
-        lines = []
-        for set_index, ways in enumerate(self._sets):
-            for way, line in enumerate(ways):
-                if line.valid:
-                    lines.append([
-                        set_index,
-                        way,
-                        {
-                            "tag": line.tag,
-                            "dirty": line.dirty,
-                            "lru": line.lru,
-                            "data": list(line.data),
-                        },
-                    ])
-        return {"lru_clock": self._lru_clock, "lines": lines}
-
-    def ckpt_restore(self, state):
-        for ways in self._sets:
-            for line in ways:
-                line.tag = -1
-                line.valid = False
-                line.dirty = False
-                line.data = [0] * self.words_per_line
-                line.lru = 0
-        for set_index, way, entry in state["lines"]:
-            line = self._sets[set_index][way]
-            line.tag = entry["tag"]
-            line.valid = True
-            line.dirty = entry["dirty"]
-            line.lru = entry["lru"]
-            line.data = list(entry["data"])
-        self._lru_clock = state["lru_clock"]
 
     # -- introspection ------------------------------------------------------------
 

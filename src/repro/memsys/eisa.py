@@ -11,13 +11,16 @@ into DRAM through the memory bus (where the CPU caches snoop-invalidate
 them, keeping the caches consistent).
 """
 
+from repro.ckpt.protocol import Checkpointable, CkptError
 from repro.sim.instrument import Instrumentation
 from repro.sim.process import Timeout
 from repro.sim.resources import Mutex
 
 
-class EisaBus:
+class EisaBus(Checkpointable):
     """Serialised burst-DMA channel from the NIC into main memory."""
+
+    CKPT = ("busy_ns",)
 
     def __init__(self, sim, xpress_bus, params, name="eisa"):
         self.sim = sim
@@ -33,17 +36,11 @@ class EisaBus:
 
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
-    def ckpt_capture(self):
+    def ckpt_check(self):
         if self._mutex.locked:
-            from repro.ckpt.protocol import CkptError
-
             raise CkptError(
                 "EISA channel %s has a burst in flight at capture" % self.name
             )
-        return {"busy_ns": self.busy_ns}
-
-    def ckpt_restore(self, state):
-        self.busy_ns = state["busy_ns"]
 
     def dma_write(self, addr, words):
         """Generator: burst-write ``words`` to DRAM at ``addr``.

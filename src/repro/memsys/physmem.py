@@ -3,6 +3,7 @@
 import sys
 from array import array
 
+from repro.ckpt.protocol import SAME, Checkpointable, Codec
 from repro.memsys.address import (
     WORD_SIZE,
     WORD_MASK,
@@ -16,8 +17,32 @@ from repro.memsys.address import (
 _NATIVE_LITTLE_WORDS = (sys.byteorder == "little"
                         and array("I").itemsize == WORD_SIZE)
 
+_CKPT_CHUNK = 4096
 
-class PhysicalMemory:
+
+def _encode_chunks(memory, data):
+    """Sparse capture: only chunks containing a nonzero byte are stored
+    (as hex strings), since simulated DRAM is overwhelmingly zero."""
+    chunks = []
+    for offset in range(0, len(data), _CKPT_CHUNK):
+        piece = data[offset : offset + _CKPT_CHUNK]
+        if any(piece):
+            chunks.append([offset, piece.hex()])
+    return chunks
+
+
+def _decode_chunks(memory, chunks, data):
+    """Refill ``data`` in place: the word view aliases it."""
+    data[:] = bytes(len(data))
+    for offset, hexdata in chunks:
+        piece = bytes.fromhex(hexdata)
+        if not 0 <= offset <= len(data) - len(piece):
+            raise ValueError("chunk at %r outside memory" % (offset,))
+        data[offset : offset + len(piece)] = piece
+    return data
+
+
+class PhysicalMemory(Checkpointable):
     """A node's DRAM as a flat little-endian byte array.
 
     All accesses are word (4-byte) granularity, matching the bus models.
@@ -26,6 +51,13 @@ class PhysicalMemory:
     go through a native ``uint32`` view of the same bytes, which is the
     little-endian layout; a big-endian host keeps the byte path.
     """
+
+    CKPT = (
+        ("size_bytes", SAME),
+        ("_data", Codec(_encode_chunks, _decode_chunks), "chunks"),
+        "read_count",
+        "write_count",
+    )
 
     def __init__(self, size_bytes):
         if size_bytes <= 0 or size_bytes % WORD_SIZE != 0:
@@ -113,40 +145,3 @@ class PhysicalMemory:
         if addr < 0 or addr + length > self.size_bytes:
             raise AddressError("dump outside memory")
         return bytes(self._data[addr : addr + length])
-
-    # -- checkpoint protocol (see repro.ckpt) ---------------------------------
-
-    _CKPT_CHUNK = 4096
-
-    def ckpt_capture(self):
-        """Sparse capture: only chunks containing a nonzero byte are stored
-        (as hex strings), since simulated DRAM is overwhelmingly zero."""
-        chunks = []
-        data = self._data
-        chunk = self._CKPT_CHUNK
-        for offset in range(0, self.size_bytes, chunk):
-            piece = data[offset : offset + chunk]
-            if any(piece):
-                chunks.append([offset, piece.hex()])
-        return {
-            "size_bytes": self.size_bytes,
-            "chunks": chunks,
-            "read_count": self.read_count,
-            "write_count": self.write_count,
-        }
-
-    def ckpt_restore(self, state):
-        if state["size_bytes"] != self.size_bytes:
-            from repro.ckpt.protocol import CkptError
-
-            raise CkptError(
-                "memory size mismatch: checkpoint has %d bytes, node has %d"
-                % (state["size_bytes"], self.size_bytes)
-            )
-        data = self._data
-        data[:] = bytes(self.size_bytes)
-        for offset, hexdata in state["chunks"]:
-            piece = bytes.fromhex(hexdata)
-            data[offset : offset + len(piece)] = piece
-        self.read_count = state["read_count"]
-        self.write_count = state["write_count"]

@@ -1,5 +1,6 @@
 """Assembly of routers and links into a Paragon-style mesh backplane."""
 
+from repro.ckpt.protocol import Checkpointable, CkptError
 from repro.mesh.link import Link
 from repro.mesh.router import Router, LOCAL
 from repro.mesh.topology import MeshTopology
@@ -12,7 +13,7 @@ from repro.sim.resources import Mutex
 _IDLE_LINK = {"packets": [], "entries": [], "frees": []}
 
 
-class Backplane:
+class Backplane(Checkpointable):
     """A ``width x height`` mesh with one NIC attachment point per router.
 
     All geometry (node-id layout, neighbour walk, link naming) comes from
@@ -21,7 +22,13 @@ class Backplane:
     O(nodes + links).  A NIC attaches by taking the injection link (it
     sends flits into it) and the ejection link (it receives flits from
     it) for its node.
+
+    The checkpoint holds the links, written by :meth:`ckpt_capture` as a
+    sparse table keyed by link name.
     """
+
+    CKPT = ("routers", "_injection")
+    CKPT_SKIP = {"_started": "start-once latch (wiring, not state)"}
 
     def __init__(self, sim, params, width=None, height=None, name="mesh",
                  topology=None):
@@ -40,7 +47,6 @@ class Backplane:
         self.instr = Instrumentation.of(sim)
         self.packets_delivered = self.instr.counter(name + ".delivered")
         self._build()
-        # simlint: ignore[SL201] start-once latch (wiring, not state)
         self._started = False
 
     # -- geometry (delegated to the topology) ---------------------------------
@@ -134,8 +140,6 @@ class Backplane:
         for link in self.iter_links():
             link.ckpt_restore(link_states.pop(link.name, _IDLE_LINK))
         if link_states:
-            from repro.ckpt.protocol import CkptError
-
             raise CkptError(
                 "checkpoint names unknown mesh link %r "
                 "(topology mismatch)" % next(iter(link_states))

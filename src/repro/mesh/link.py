@@ -43,12 +43,22 @@ by one.
 
 from collections import deque
 
+from repro.ckpt.protocol import Checkpointable
+from repro.mesh.packet import Packet
 from repro.sim.instrument import Instrumentation
 from repro.sim.process import Signal, Timeout, Wait
 
 
-class Link:
-    """A timed, bounded flit pipe."""
+class Link(Checkpointable):
+    """A timed, bounded flit pipe.
+
+    The checkpoint holds the runs, written by :meth:`ckpt_capture` as the
+    v1 per-flit ``packets``/``entries``/``frees`` tables (the flit tables
+    share one packet index, so the document is not field-shaped).
+    """
+
+    CKPT = ("_runs", "_buffered", "_free_runs", "_future")
+    CKPT_SKIP = {"_down": "fault state, re-armed from the FaultPlan"}
 
     def __init__(self, sim, params, name="link"):
         self.sim = sim
@@ -74,7 +84,7 @@ class Link:
         # before the cable was pulled).  Orchestration state owned by the
         # FaultController -- re-armed from the FaultPlan after a restore,
         # never part of a checkpoint.
-        self._down = False  # simlint: ignore[SL201] fault state, re-armed from the FaultPlan not the checkpoint
+        self._down = False
         self.flits_moved = Instrumentation.of(sim).counter(name + ".flits")
 
     # -- run bookkeeping -------------------------------------------------------
@@ -320,8 +330,6 @@ class Link:
         }
 
     def ckpt_restore(self, state):
-        from repro.mesh.packet import Packet
-
         packets = [Packet.from_state(ps) for ps in state["packets"]]
         self._runs.clear()
         self._buffered = 0

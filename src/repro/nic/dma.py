@@ -18,6 +18,7 @@ inside a single deliberate-update mapping half and drops invalid commands,
 counting them.
 """
 
+from repro.ckpt.protocol import Checkpointable, CkptError
 from repro.memsys.address import PAGE_SIZE, page_number, page_offset
 from repro.mesh.packet import Packet
 from repro.nic.nipt import MappingMode
@@ -25,8 +26,15 @@ from repro.sim.instrument import Instrumentation
 from repro.sim.process import Process, Signal, Timeout, Wait
 
 
-class DmaEngine:
-    """The single outgoing DMA engine of one NIC."""
+class DmaEngine(Checkpointable):
+    """The single outgoing DMA engine of one NIC.
+
+    The checkpoint holds the arming registers.  A busy engine has a live
+    ``_transfer`` process (an unserializable generator), so capture
+    requires the engine idle.
+    """
+
+    CKPT = ("busy", "base_addr", "remaining_words")
 
     def __init__(self, sim, nic):
         self.sim = sim
@@ -106,27 +114,12 @@ class DmaEngine:
 
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
-    def ckpt_capture(self):
-        """Arming registers only.  A busy engine has a live ``_transfer``
-        process (an unserializable generator), so safepoints require the
-        engine idle; the registers still round-trip for completeness."""
+    def ckpt_check(self):
         if self.busy:
-            from repro.ckpt.protocol import CkptError
-
             raise CkptError(
                 "%s DMA engine busy at capture (transfer in flight)"
                 % self.nic.name
             )
-        return {
-            "busy": False,
-            "base_addr": self.base_addr,
-            "remaining_words": self.remaining_words,
-        }
-
-    def ckpt_restore(self, state):
-        self.busy = state["busy"]
-        self.base_addr = state["base_addr"]
-        self.remaining_words = state["remaining_words"]
 
     # -- the transfer process ------------------------------------------------------
 

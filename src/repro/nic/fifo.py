@@ -18,6 +18,8 @@ cannot overflow".
 
 from collections import deque
 
+from repro.ckpt.protocol import Checkpointable, Codec
+from repro.mesh.packet import Packet
 from repro.sim.instrument import Instrumentation
 from repro.sim.process import Signal, Wait
 
@@ -26,8 +28,34 @@ class FifoOverflow(Exception):
     """A put exceeded FIFO capacity: the flow-control invariant broke."""
 
 
-class PacketFifo:
-    """A byte-accounted packet FIFO with a threshold callback."""
+def _decode_packets(fifo, data, packets):
+    packets.clear()
+    packets.extend(Packet.from_state(state) for state in data)
+    return packets
+
+
+class PacketFifo(Checkpointable):
+    """A byte-accounted packet FIFO with a threshold callback.
+
+    The checkpoint holds the queued packets plus threshold and high-water
+    state.  System safepoints require both NIC FIFOs empty (parked
+    consumer loops would not wake for restored packets), but the capture
+    is general so FIFO state round-trips in component tests.
+    """
+
+    CKPT = (
+        ("_packets", Codec(
+            lambda fifo, packets: [packet.to_state() for packet in packets],
+            _decode_packets,
+        )),
+        "occupancy_bytes",
+        "max_occupancy_bytes",
+        "_threshold_armed",
+    )
+    CKPT_SKIP = {
+        "inject_hooks": "fault state, re-armed from the FaultPlan",
+        "reserved_bytes": "fault state, re-armed from the FaultPlan",
+    }
 
     def __init__(self, sim, capacity_bytes, threshold_bytes, name="fifo"):
         if not 0 < threshold_bytes <= capacity_bytes:
@@ -44,12 +72,11 @@ class PacketFifo:
         # Fault-injection hooks (repro.faults).  inject_hooks run on every
         # put_functional before the packet is enqueued (corruption /
         # misroute taps); reserved_bytes squeezes usable capacity to model
-        # overflow pressure.  Both are orchestration state owned by the
-        # FaultController -- re-armed from the FaultPlan after a restore,
-        # never captured.  A tuple, not a list: rebuilt on (de)register so
-        # the hot-path read is one attribute load and a truth test.
-        self.inject_hooks = ()  # simlint: ignore[SL201] fault state, re-armed from the FaultPlan not the checkpoint
-        self.reserved_bytes = 0  # simlint: ignore[SL201] fault state, re-armed from the FaultPlan not the checkpoint
+        # overflow pressure (see CKPT_SKIP).  A tuple, not a list: rebuilt
+        # on (de)register so the hot-path read is one attribute load and a
+        # truth test.
+        self.inject_hooks = ()
+        self.reserved_bytes = 0
         self.instr = Instrumentation.of(sim)
         self.puts = self.instr.counter(name + ".puts")
         self.gets = self.instr.counter(name + ".gets")
@@ -206,31 +233,6 @@ class PacketFifo:
             self._threshold_armed = True
         self._changed.fire()
         return packet
-
-    # -- checkpoint protocol (see repro.ckpt) ---------------------------------
-
-    def ckpt_capture(self):
-        """Queued packets (JSON-safe) plus threshold/high-water state.
-
-        System safepoints require both NIC FIFOs empty (parked consumer
-        loops would not wake for restored packets), but the capture is
-        general so FIFO state round-trips in component tests.
-        """
-        return {
-            "packets": [packet.to_state() for packet in self._packets],
-            "occupancy_bytes": self.occupancy_bytes,
-            "max_occupancy_bytes": self.max_occupancy_bytes,
-            "threshold_armed": self._threshold_armed,
-        }
-
-    def ckpt_restore(self, state):
-        from repro.mesh.packet import Packet
-
-        self._packets.clear()
-        self._packets.extend(Packet.from_state(ps) for ps in state["packets"])
-        self.occupancy_bytes = state["occupancy_bytes"]
-        self.max_occupancy_bytes = state["max_occupancy_bytes"]
-        self._threshold_armed = state["threshold_armed"]
 
     # -- waiting helpers -------------------------------------------------------------
 

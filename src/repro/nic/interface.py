@@ -19,6 +19,7 @@ the CPU, which waits until the FIFO drains; since the CPU does not write
 mapped pages while waiting, the Outgoing FIFO cannot overflow.
 """
 
+from repro.ckpt.protocol import Checkpointable, CkptError, Codec
 from repro.memsys.address import PAGE_SIZE, page_number, page_offset
 from repro.memsys.bus import BusDevice
 from repro.mesh.packet import Packet, PacketError
@@ -84,8 +85,59 @@ class _MergeContext:
         self.flush_event = None
 
 
-class NetworkInterface:
+def _encode_merge(nic, merge):
+    """The open blocked-write merge, with its pending flush timer as an
+    absolute due time.
+
+    :class:`~repro.ckpt.system.SystemCheckpoint` recreates the event (in
+    global sequence order, so same-instant ties replay identically) and
+    re-attaches it via :meth:`NetworkInterface.ckpt_attach_flush`.  The
+    event's raw sequence number is deliberately *not* captured: like the
+    engine's ``_seq`` counter it is an artifact of run history.
+    """
+    if merge is None:
+        return None
+    if merge.flush_event is None or merge.flush_event.cancelled:
+        raise CkptError(
+            "%s has an open merge with no pending flush timer" % nic.name
+        )
+    return {
+        "page": merge.page,
+        "start_offset": merge.start_offset,
+        "words": list(merge.words),
+        "next_addr": merge.next_addr,
+        "last_time": merge.last_time,
+        "flush_due": merge.flush_event.time,
+    }
+
+
+def _decode_merge(nic, data, current):
+    """Rebuild the merge on its NIPT half (so the NIPT restores first)."""
+    if data is None:
+        return None
+    half = nic.nipt.lookup_out(data["page"], data["start_offset"])
+    if half is None:
+        raise CkptError(
+            "%s: restored merge at page %d offset %d has no outgoing "
+            "mapping" % (nic.name, data["page"], data["start_offset"])
+        )
+    merge = _MergeContext(half, data["page"], data["start_offset"],
+                          data["words"][0], data["last_time"])
+    merge.words = list(data["words"])
+    merge.next_addr = data["next_addr"]
+    return merge
+
+
+class NetworkInterface(Checkpointable):
     """One node's SHRIMP network interface."""
+
+    CKPT = ("nipt", "outgoing_fifo", "incoming_fifo", "dma_engine",
+            "kernel_inbox", ("_merge", Codec(_encode_merge, _decode_merge)))
+    CKPT_SKIP = {
+        "cpu": "wiring: attach_cpu is part of node construction; the Cpu "
+               "checkpoints itself",
+        "_started": "start-once latch (wiring, not state)",
+    }
 
     def __init__(self, sim, node_id, bus, eisa, backplane, address_map,
                  nic_params, cpu_originator="cache", name=None):
@@ -120,8 +172,6 @@ class NetworkInterface:
         self.arrival_signal = Signal(sim, self.name + ".arrival")
 
         self._merge = None
-        # simlint: ignore[SL201] wiring: attach_cpu is part of node
-        # construction; the Cpu checkpoints itself
         self.cpu = None
         # Optional datapath instrumentation: stage_hook(stage, packet, now)
         # is called at "packetized", "injected", "accepted", "delivered".
@@ -148,7 +198,6 @@ class NetworkInterface:
             address_map.command_base + address_map.dram_bytes,
             self.command_device,
         )
-        # simlint: ignore[SL201] start-once latch (wiring, not state)
         self._started = False
 
     # -- lifecycle --------------------------------------------------------------
@@ -322,77 +371,6 @@ class NetworkInterface:
         self.packets_packetized.bump()
 
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
-
-    def ckpt_capture(self):
-        """Compose the NIC's parts, plus the open blocked-write merge.
-
-        The merge's pending flush timer is captured as its absolute due
-        time; :class:`~repro.ckpt.system.SystemCheckpoint` recreates the
-        event (in global sequence order, so same-instant ties replay
-        identically) and re-attaches it via :meth:`ckpt_attach_flush`.
-        The event's raw sequence number is deliberately *not* captured:
-        like the engine's ``_seq`` counter it is an artifact of run
-        history, and only the relative order (already encoded by the
-        checkpoint's descriptor list) is meaningful.
-        """
-        merge_state = None
-        if self._merge is not None:
-            merge = self._merge
-            if merge.flush_event is None or merge.flush_event.cancelled:
-                from repro.ckpt.protocol import CkptError
-
-                raise CkptError(
-                    "%s has an open merge with no pending flush timer"
-                    % self.name
-                )
-            merge_state = {
-                "page": merge.page,
-                "start_offset": merge.start_offset,
-                "words": list(merge.words),
-                "next_addr": merge.next_addr,
-                "last_time": merge.last_time,
-                "flush_due": merge.flush_event.time,
-            }
-        return {
-            "nipt": self.nipt.ckpt_capture(),
-            "outgoing_fifo": self.outgoing_fifo.ckpt_capture(),
-            "incoming_fifo": self.incoming_fifo.ckpt_capture(),
-            "dma_engine": self.dma_engine.ckpt_capture(),
-            "kernel_inbox": self.kernel_inbox.ckpt_capture(),
-            "merge": merge_state,
-        }
-
-    def ckpt_restore(self, state):
-        self.nipt.ckpt_restore(state["nipt"])
-        self.outgoing_fifo.ckpt_restore(state["outgoing_fifo"])
-        self.incoming_fifo.ckpt_restore(state["incoming_fifo"])
-        self.dma_engine.ckpt_restore(state["dma_engine"])
-        self.kernel_inbox.ckpt_restore(state["kernel_inbox"])
-        merge_state = state["merge"]
-        if merge_state is None:
-            self._merge = None
-            return
-        half = self.nipt.lookup_out(
-            merge_state["page"], merge_state["start_offset"]
-        )
-        if half is None:
-            from repro.ckpt.protocol import CkptError
-
-            raise CkptError(
-                "%s: restored merge at page %d offset %d has no outgoing "
-                "mapping" % (self.name, merge_state["page"],
-                             merge_state["start_offset"])
-            )
-        merge = _MergeContext(
-            half,
-            merge_state["page"],
-            merge_state["start_offset"],
-            merge_state["words"][0],
-            merge_state["last_time"],
-        )
-        merge.words = list(merge_state["words"])
-        merge.next_addr = merge_state["next_addr"]
-        self._merge = merge
 
     def ckpt_attach_flush(self, event):
         """Wire a recreated flush event to the restored merge context."""

@@ -13,6 +13,7 @@ holds up to two :class:`OutgoingHalf` records covering disjoint byte ranges
 of the page.
 """
 
+from repro.ckpt.protocol import Checkpointable, CkptFormatError, Codec
 from repro.memsys.address import PAGE_SIZE, WORD_SIZE
 
 
@@ -139,8 +140,55 @@ class NiptEntry:
         half.mode = mode
 
 
-class Nipt:
+_HALF_FIELDS = ("src_start", "src_end", "dest_node", "dest_addr", "mode")
+
+
+def _encode_pages(nipt, entries):
+    """Sparse capture: only entries differing from the freshly built
+    default (no halves, not mapped in, no interrupt or resident bit).
+    The ``dsm_resident`` key is likewise emitted only when set, so
+    non-DSM checkpoints are byte-identical to the pre-DSM format."""
+    pages = []
+    for page, entry in enumerate(entries):
+        if not (entry.halves or entry.mapped_in
+                or entry.interrupt_on_arrival or entry.dsm_resident):
+            continue
+        entry_state = {
+            "halves": [{name: getattr(half, name) for name in _HALF_FIELDS}
+                       for half in entry.halves],
+            "mapped_in": entry.mapped_in,
+            "interrupt_on_arrival": entry.interrupt_on_arrival,
+        }
+        if entry.dsm_resident:
+            entry_state["dsm_resident"] = True
+        pages.append([page, entry_state])
+    return pages
+
+
+def _decode_pages(nipt, pages, entries):
+    for entry in entries:
+        entry.halves = []
+        entry.mapped_in = False
+        entry.interrupt_on_arrival = False
+        entry.dsm_resident = False
+    for page, entry_state in pages:
+        try:
+            entry = nipt.entry(page)
+            for half_state in entry_state["halves"]:
+                entry.add_half(OutgoingHalf(
+                    *[half_state[name] for name in _HALF_FIELDS]))
+        except NiptError as exc:
+            raise CkptFormatError("Nipt: page %r: %s" % (page, exc)) from exc
+        entry.mapped_in = entry_state["mapped_in"]
+        entry.interrupt_on_arrival = entry_state["interrupt_on_arrival"]
+        entry.dsm_resident = entry_state.get("dsm_resident", False)
+    return entries
+
+
+class Nipt(Checkpointable):
     """The table: one :class:`NiptEntry` per page of local physical memory."""
+
+    CKPT = (("entries", Codec(_encode_pages, _decode_pages), "pages"),)
 
     def __init__(self, dram_pages):
         self.entries = [NiptEntry() for _ in range(dram_pages)]
@@ -185,54 +233,3 @@ class Nipt:
 
     def mapped_in_pages(self):
         return [i for i, e in enumerate(self.entries) if e.mapped_in]
-
-    # -- checkpoint protocol (see repro.ckpt) ---------------------------------
-
-    def ckpt_capture(self):
-        """Sparse capture: only entries differing from the freshly built
-        default (no halves, not mapped in, no interrupt or resident bit).
-        The ``dsm_resident`` key is likewise emitted only when set, so
-        non-DSM checkpoints are byte-identical to the pre-DSM format."""
-        pages = []
-        for page, entry in enumerate(self.entries):
-            if not (entry.halves or entry.mapped_in
-                    or entry.interrupt_on_arrival or entry.dsm_resident):
-                continue
-            entry_state = {
-                "halves": [
-                    {
-                        "src_start": half.src_start,
-                        "src_end": half.src_end,
-                        "dest_node": half.dest_node,
-                        "dest_addr": half.dest_addr,
-                        "mode": half.mode,
-                    }
-                    for half in entry.halves
-                ],
-                "mapped_in": entry.mapped_in,
-                "interrupt_on_arrival": entry.interrupt_on_arrival,
-            }
-            if entry.dsm_resident:
-                entry_state["dsm_resident"] = True
-            pages.append([page, entry_state])
-        return {"pages": pages}
-
-    def ckpt_restore(self, state):
-        for entry in self.entries:
-            entry.halves = []
-            entry.mapped_in = False
-            entry.interrupt_on_arrival = False
-            entry.dsm_resident = False
-        for page, entry_state in state["pages"]:
-            entry = self.entry(page)
-            for half_state in entry_state["halves"]:
-                entry.add_half(OutgoingHalf(
-                    half_state["src_start"],
-                    half_state["src_end"],
-                    half_state["dest_node"],
-                    half_state["dest_addr"],
-                    half_state["mode"],
-                ))
-            entry.mapped_in = entry_state["mapped_in"]
-            entry.interrupt_on_arrival = entry_state["interrupt_on_arrival"]
-            entry.dsm_resident = entry_state.get("dsm_resident", False)

@@ -26,8 +26,6 @@ class RoundRobinScheduler:
         self.timeslice_ns = timeslice_ns or kernel.params.timeslice_ns
         self._run_queue = deque()
         self.context_switches = 0
-        # simlint: ignore[SL201] live Process handle created by start();
-        # the driver's position is recovered from the captured run queue
         self._driver = None
 
     def add(self, process):
@@ -71,28 +69,3 @@ class RoundRobinScheduler:
     @property
     def finished(self):
         return self._driver is not None and self._driver.finished
-
-    # -- checkpoint protocol (see repro.ckpt) ---------------------------------
-
-    def ckpt_capture(self):
-        return {
-            "queue_pids": [process.pid for process in self._run_queue],
-            "context_switches": self.context_switches,
-        }
-
-    def ckpt_restore(self, state):
-        """Rebuild the run queue from the kernel's (restored) process
-        table; the driver loop itself is not serializable and must be
-        restarted by the caller if scheduling is to continue."""
-        processes = self.kernel.processes
-        self._run_queue.clear()
-        for pid in state["queue_pids"]:
-            process = processes.get(pid)
-            if process is None:
-                from repro.ckpt.protocol import CkptError
-
-                raise CkptError(
-                    "run queue references unknown pid %d" % pid
-                )
-            self._run_queue.append(process)
-        self.context_switches = state["context_switches"]

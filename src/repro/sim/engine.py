@@ -34,6 +34,8 @@ them in one pass.
 import heapq
 from collections import deque
 
+from repro.ckpt.protocol import Checkpointable, CkptError
+
 _COMPACT_MIN_DEAD = 512  # never bother compacting tiny heaps
 
 
@@ -105,7 +107,7 @@ class ScheduledEvent(list):
         )
 
 
-class Simulator:
+class Simulator(Checkpointable):
     """A deterministic discrete-event simulator with integer time.
 
     Typical use::
@@ -116,26 +118,39 @@ class Simulator:
 
     Time is an opaque integer; throughout this repository it is interpreted
     as nanoseconds.
+
+    The checkpoint holds the clock and event accounting.  Queue contents
+    are NOT captured here: pending events hold Python callbacks and
+    generator continuations, which are not serializable.
+    ``SystemCheckpoint`` captures them as re-schedulable *descriptors*
+    (worker instruction-boundary resumes, merge-window flushes) at a
+    safepoint, where those are provably the only live entries.
     """
+
+    CKPT = ("_now", "_event_count")
+    CKPT_SKIP = {
+        "_seq": "only the relative order of pending events matters, and "
+                "restore recreates descriptors in ascending original order",
+        "_heap": "pending events travel as descriptors; restore refuses a "
+                 "non-empty queue",
+        "_bucket": "drained empty at every safepoint (it only holds events "
+                   "at time == _now, mid-run)",
+        "_running": "capture inside run() is refused; always False at a "
+                    "safepoint",
+        "_dead": "queue-compaction bookkeeping; dead entries are not "
+                 "descriptors, so the count restores to 0",
+        "_dead_bucket": "the same bookkeeping for the same-time bucket, "
+                        "which drains every instant",
+    }
 
     def __init__(self):
         self._now = 0
-        # simlint: ignore[SL201] only the relative order of pending events
-        # matters; capture renumbers descriptors densely at the safepoint
         self._seq = 0
         self._heap = []
-        # simlint: ignore[SL201] drained empty at every safepoint (the
-        # bucket only holds events at time == _now, mid-run)
         self._bucket = deque()  # events at time == _now (FIFO by seq)
-        # simlint: ignore[SL201] capture inside run() is refused; always
-        # False at a safepoint
         self._running = False
         self._event_count = 0
-        # simlint: ignore[SL201] bookkeeping for queue compaction; dead
-        # entries are dropped from the capture, so the count restores to 0
         self._dead = 0  # cancelled entries still sitting in the heap
-        # simlint: ignore[SL201] same bookkeeping for the same-time bucket;
-        # the bucket drains every instant, so this is always transient
         self._dead_bucket = 0  # cancelled entries still in the bucket
 
     @property
@@ -341,28 +356,10 @@ class Simulator:
 
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
-    def ckpt_capture(self):
-        """Clock and event accounting.
-
-        Queue contents are NOT captured here: pending events hold Python
-        callbacks and generator continuations, which are not serializable.
-        ``SystemCheckpoint`` captures them as re-schedulable *descriptors*
-        (worker instruction-boundary resumes, merge-window flushes) at a
-        safepoint, where those are provably the only live entries.
-        ``_seq`` is likewise not captured -- tie-breaking only needs the
-        *relative* creation order of pending events, which the restore
-        path reproduces by recreating descriptors in ascending original
-        sequence order.
-        """
-        return {"now": self._now, "event_count": self._event_count}
-
     def ckpt_restore(self, state):
         if self._heap or self._bucket:
-            from repro.ckpt.protocol import CkptError
-
             raise CkptError(
                 "cannot restore a simulator clock with %d events pending"
                 % (len(self._heap) + len(self._bucket))
             )
-        self._now = state["now"]
-        self._event_count = state["event_count"]
+        super().ckpt_restore(state)

@@ -33,6 +33,7 @@ are dot-joined paths rooted at the owning component's instance name, e.g.
 
 import json
 
+from repro.ckpt.protocol import PAIRS, Checkpointable, CkptError, Codec
 from repro.sim.trace import Counter, TimeSeries
 
 
@@ -60,7 +61,7 @@ def nearest_rank(sorted_values, p):
     return sorted_values[int(rank) - 1]
 
 
-class Histogram:
+class Histogram(Checkpointable):
     """A power-of-two-bucketed value histogram (latencies, sizes).
 
     ``observe(v)`` files ``v`` into the bucket ``[2**(k-1), 2**k)`` and
@@ -68,6 +69,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "count", "total", "min", "max", "_buckets")
+    CKPT = ("count", "total", "min", "max", ("_buckets", PAIRS))
 
     def __init__(self, name):
         self.name = name
@@ -136,23 +138,6 @@ class Histogram:
         self.max = None
         self._buckets = {}
 
-    def ckpt_capture(self):
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "buckets": [[index, self._buckets[index]]
-                        for index in sorted(self._buckets)],
-        }
-
-    def ckpt_restore(self, state):
-        self.count = state["count"]
-        self.total = state["total"]
-        self.min = state["min"]
-        self.max = state["max"]
-        self._buckets = {index: count for index, count in state["buckets"]}
-
     def __repr__(self):
         return "Histogram(%s: n=%d, mean=%s)" % (self.name, self.count,
                                                  self.mean())
@@ -201,32 +186,81 @@ _HISTOGRAM = "histogram"
 _PROBE = "probe"
 
 
-class Instrumentation:
+def _encode_metrics(hub, metrics):
+    """Every registered counter, time series and histogram, by name.
+
+    Probes are skipped: they are derived views over state their owning
+    components capture themselves.
+    """
+    return {
+        name: {"kind": kind, "state": metric.ckpt_capture()}
+        for name, (kind, metric) in sorted(metrics.items())
+        if kind != _PROBE
+    }
+
+
+def _decode_metrics(hub, data, metrics):
+    """Restore by name into the already-registered metric objects.
+
+    A captured name missing from this hub's registry means the restored
+    machine is configured differently from the captured one (different
+    topology or params); that is a hard error, not something to skip
+    silently.
+    """
+    for name, entry in data.items():
+        registered = metrics.get(name)
+        if registered is None:
+            raise CkptError(
+                "checkpoint names metric %r that this machine does not "
+                "register (configuration mismatch)" % name
+            )
+        kind, metric = registered
+        if kind != entry["kind"]:
+            raise CkptError(
+                "metric %r is a %s in the checkpoint but a %s here"
+                % (name, entry["kind"], kind)
+            )
+        metric.ckpt_restore(entry["state"])
+    return metrics
+
+
+class Instrumentation(Checkpointable):
     """Per-simulator metrics registry and event bus.
 
     Obtain the hub for a simulator with :meth:`Instrumentation.of` -- the
     instance is created on first use and cached on the simulator, so every
     component of a machine shares one hub.
+
+    Observer configuration and output are deliberately outside the
+    checkpoint: the hub captures *metric* state only, and a restored run
+    re-attaches its own consumers (see docs/checkpoint.md).
     """
+
+    CKPT = (("_metrics", Codec(_encode_metrics, _decode_metrics)),)
+    CKPT_SKIP = {
+        "active": "observer wiring",
+        "_collecting": "observer wiring",
+        "_only_kinds": "observer wiring",
+        "_limit": "observer wiring",
+        "_subscribers": "observer wiring (live callables)",
+        "_records": "observer output",
+        "_by_kind": "observer output",
+        "dropped": "observer output",
+    }
 
     def __init__(self, sim):
         self.sim = sim
         # True iff at least one event consumer exists.  Producers guard
         # emission with this single attribute check; it is the whole cost
         # of the event bus when instrumentation is off.
-        # Observer configuration and output are deliberately outside the
-        # checkpoint: the hub captures *metric* state only, and a restored
-        # run re-attaches its own consumers (see docs/checkpoint.md).
-        self.active = False  # simlint: ignore[SL201] observer wiring
+        self.active = False
         self._metrics = {}  # name -> (kind, metric object or probe callable)
-        self._collecting = False  # simlint: ignore[SL201] observer wiring
-        self._only_kinds = None  # simlint: ignore[SL201] observer wiring
-        self._limit = None  # simlint: ignore[SL201] observer wiring
-        self._records = []  # simlint: ignore[SL201] observer output
-        # simlint: ignore[SL201] observer output
+        self._collecting = False
+        self._only_kinds = None
+        self._limit = None
+        self._records = []
         self._by_kind = {}  # kind -> [Event], same objects as _records
-        self.dropped = 0  # simlint: ignore[SL201] observer output
-        # simlint: ignore[SL201] observer wiring (live callables)
+        self.dropped = 0
         self._subscribers = []  # (kinds or None, callback)
 
     @classmethod
@@ -437,45 +471,3 @@ class Instrumentation:
         records = self._records if kind is None else self._by_kind.get(kind, ())
         for event in records:
             yield json.dumps(event.to_dict(), sort_keys=True)
-
-    # -- checkpoint protocol (see repro.ckpt) ---------------------------------
-
-    def ckpt_capture(self):
-        """Every registered counter, time series and histogram, by name.
-
-        Probes are skipped: they are derived views over state their owning
-        components capture themselves.  Collected event records are also
-        skipped -- they are observer output, not machine state.
-        """
-        metrics = {}
-        for name in sorted(self._metrics):
-            kind, metric = self._metrics[name]
-            if kind == _PROBE:
-                continue
-            metrics[name] = {"kind": kind, "state": metric.ckpt_capture()}
-        return {"metrics": metrics}
-
-    def ckpt_restore(self, state):
-        """Restore by name into the already-registered metric objects.
-
-        A captured name missing from this hub's registry means the
-        restored machine is configured differently from the captured one
-        (different topology or params); that is a hard error, not
-        something to skip silently.
-        """
-        from repro.ckpt.protocol import CkptError
-
-        for name, entry in state["metrics"].items():
-            registered = self._metrics.get(name)
-            if registered is None:
-                raise CkptError(
-                    "checkpoint names metric %r that this machine does not "
-                    "register (configuration mismatch)" % name
-                )
-            kind, metric = registered
-            if kind != entry["kind"]:
-                raise CkptError(
-                    "metric %r is a %s in the checkpoint but a %s here"
-                    % (name, entry["kind"], kind)
-                )
-            metric.ckpt_restore(entry["state"])

@@ -7,6 +7,7 @@ hardware FIFOs with blocking put/get).
 
 from collections import deque
 
+from repro.ckpt.protocol import Checkpointable, CkptError
 from repro.sim.process import Signal, Wait
 
 
@@ -79,7 +80,7 @@ class QueueClosed(Exception):
     """Raised when getting from a closed, drained queue."""
 
 
-class BoundedQueue:
+class BoundedQueue(Checkpointable):
     """A bounded FIFO with blocking ``put``/``get`` generators.
 
     ``capacity=None`` means unbounded.  ``put`` blocks while full, ``get``
@@ -87,7 +88,15 @@ class BoundedQueue:
     model hardware FIFOs where exact threshold behaviour is not needed; the
     NIC FIFOs (which have programmable thresholds) wrap this with extra
     bookkeeping.
+
+    The checkpoint holds the accounting only.  System-level safepoints
+    require every BoundedQueue empty (the NIC kernel inbox is the only
+    long-lived instance), so capture refuses buffered items rather than
+    guessing how to serialize arbitrary payload objects.
     """
+
+    CKPT = ("put_count", "get_count", "max_occupancy", "_closed")
+    CKPT_SKIP = {"_items": "empty at capture (ckpt_check); restore clears it"}
 
     def __init__(self, sim, capacity=None, name="queue"):
         if capacity is not None and capacity <= 0:
@@ -172,31 +181,13 @@ class BoundedQueue:
 
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
-    def ckpt_capture(self):
-        """Accounting state only; queued items are not serialized here.
-
-        System-level safepoints require every BoundedQueue empty (the NIC
-        kernel inbox is the only long-lived instance), so the capture
-        records the counters and refuses on buffered items rather than
-        guessing how to serialize arbitrary payload objects.
-        """
+    def ckpt_check(self):
         if self._items:
-            from repro.ckpt.protocol import CkptError
-
             raise CkptError(
                 "queue %s holds %d items at capture; checkpoints require "
                 "quiescent queues" % (self.name, len(self._items))
             )
-        return {
-            "put_count": self.put_count,
-            "get_count": self.get_count,
-            "max_occupancy": self.max_occupancy,
-            "closed": self._closed,
-        }
 
     def ckpt_restore(self, state):
         self._items.clear()
-        self.put_count = state["put_count"]
-        self.get_count = state["get_count"]
-        self.max_occupancy = state["max_occupancy"]
-        self._closed = state["closed"]
+        super().ckpt_restore(state)

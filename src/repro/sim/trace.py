@@ -5,6 +5,8 @@ models emit trace records and bump counters; benches read them back.
 Tracing is off by default and costs one attribute check per event.
 """
 
+from repro.ckpt.protocol import Checkpointable, Codec
+
 
 class TraceRecord:
     """One timestamped trace event."""
@@ -65,10 +67,11 @@ class Tracer:
         self._by_kind = {}
 
 
-class Counter:
+class Counter(Checkpointable):
     """A named monotonically increasing counter with a convenience API."""
 
     __slots__ = ("name", "value")
+    CKPT = ("value",)
 
     def __init__(self, name):
         self.name = name
@@ -83,18 +86,21 @@ class Counter:
     def __int__(self):
         return self.value
 
-    def ckpt_capture(self):
-        return {"value": self.value}
-
-    def ckpt_restore(self, state):
-        self.value = state["value"]
-
     def __repr__(self):
         return "Counter(%s=%d)" % (self.name, self.value)
 
 
-class TimeSeries:
+#: (time, value) sample tuples as ``[time, value]`` lists.
+_SAMPLES = Codec(
+    lambda owner, samples: [[t, v] for t, v in samples],
+    lambda owner, data, current: [(t, v) for t, v in data],
+)
+
+
+class TimeSeries(Checkpointable):
     """Records (time, value) samples; used for FIFO occupancy, bus load, etc."""
+
+    CKPT = (("samples", _SAMPLES),)
 
     def __init__(self, name):
         self.name = name
@@ -102,12 +108,6 @@ class TimeSeries:
 
     def record(self, time, value):
         self.samples.append((time, value))
-
-    def ckpt_capture(self):
-        return {"samples": [[t, v] for t, v in self.samples]}
-
-    def ckpt_restore(self, state):
-        self.samples = [(t, v) for t, v in state["samples"]]
 
     def values(self):
         return [v for _t, v in self.samples]

@@ -1,17 +1,19 @@
 # simlint: scope=sim
-"""SL201: a mutable attribute drifts out of the checkpoint."""
+"""SL201: a mutable attribute is declared neither as state nor as skipped."""
+
+from repro.ckpt.protocol import Checkpointable
 
 
-class Fifo:
+class Fifo(Checkpointable):
+    CKPT = ("_ticks",)
+
     def __init__(self, sim):
         self.sim = sim
         self._ticks = 0
+        self._drops = 0
 
     def tick(self):
         self._ticks += 1
 
-    def ckpt_capture(self):
-        return {}
-
-    def ckpt_restore(self, state):
-        pass
+    def drop(self):
+        self._drops += 1

@@ -1,17 +1,21 @@
 # simlint: scope=sim
-"""SL201 pass: every mutable attribute is captured and restored."""
+"""SL201 pass: every mutable attribute is in CKPT or, with a reason, in
+CKPT_SKIP."""
+
+from repro.ckpt.protocol import Checkpointable
 
 
-class Fifo:
+class Fifo(Checkpointable):
+    CKPT = ("_ticks",)
+    CKPT_SKIP = {"_drops": "observer statistic, not machine state"}
+
     def __init__(self, sim):
         self.sim = sim
         self._ticks = 0
+        self._drops = 0
 
     def tick(self):
         self._ticks += 1
 
-    def ckpt_capture(self):
-        return {"ticks": self._ticks}
-
-    def ckpt_restore(self, state):
-        self._ticks = state["ticks"]
+    def drop(self):
+        self._drops += 1

@@ -1,10 +1,7 @@
 # simlint: scope=sim
-"""The base class whose checkpoint pair the subclass inherits."""
+"""The base class the device inherits through the re-export."""
 
 
 class BaseCounter:
-    def ckpt_capture(self):
-        return {"ticks": self._ticks}
-
-    def ckpt_restore(self, state):
-        self._ticks = state["ticks"]
+    def reset(self):
+        self._ticks = 0

@@ -1,5 +1,5 @@
 # simlint: scope=sim
-"""A device inheriting its checkpoint pair through the re-export."""
+"""A device inheriting from a base class through the re-export."""
 
 from repro.sim.instrument import Instrumentation
 
@@ -12,9 +12,6 @@ class TickDevice(BaseCounter):
         self.name = name
         self.hub = Instrumentation.of(sim)
         self._ticks = 0
-        # SL1101: mutated below, but the inherited capture/restore pair
-        # in counters.py only covers _ticks.
-        self._skips = 0
 
     def tick(self):
         self._ticks += 1
@@ -22,7 +19,6 @@ class TickDevice(BaseCounter):
             self.hub.emit(self.name, "dev.tick", ticks=self._ticks)
 
     def skip(self):
-        self._skips += 1
         if self.hub.active:
             # SL1001: no vocabulary row documents dev.orphan.
-            self.hub.emit(self.name, "dev.orphan", skips=self._skips)
+            self.hub.emit(self.name, "dev.orphan", ticks=self._ticks)

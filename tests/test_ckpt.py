@@ -24,6 +24,7 @@ from repro.ckpt.codec import decode_context, decode_program, encode_context, enc
 from repro.ckpt.divergence import diff_fingerprints, fingerprint, verify_replay
 from repro.ckpt.safepoint import check_safepoint, seek_safepoint
 from repro.ckpt.scenarios import (
+    SCENARIOS,
     build_blocked_stream,
     build_contention,
     build_ping_pong,
@@ -269,6 +270,76 @@ def test_unknown_config_fails_with_ckpt_error():
 
     with pytest.raises(CkptError):
         SystemCheckpoint.restore(state)
+
+
+def _resealed(state):
+    """``state`` written and re-read with a *valid* checksum, so only the
+    restore can notice what is wrong with it."""
+    system = _paused_ping_pong()
+    return fmt.loads(fmt.dumps(state, system.sim.now))[0]
+
+
+def test_missing_state_key_fails_with_format_error():
+    state = SystemCheckpoint.capture(_paused_ping_pong())
+    del state["system"]["nodes"][0]["cache"]["lru_clock"]
+    with pytest.raises(CkptFormatError, match="Cache.*lru_clock"):
+        SystemCheckpoint.restore(_resealed(state))
+
+
+def test_out_of_range_cache_set_fails_with_format_error():
+    state = SystemCheckpoint.capture(_paused_ping_pong())
+    lines = state["system"]["nodes"][0]["cache"]["lines"]
+    assert lines, "the paused run must hold valid cache lines"
+    lines[0][0] = 10**6
+    with pytest.raises(CkptFormatError, match="Cache.*lines"):
+        SystemCheckpoint.restore(_resealed(state))
+
+
+# -- byte identity of the format ----------------------------------------------
+
+#: sha256 of the canonical payload of every scenario paused at t=1, at
+#: 20,000 ns and at the end (each seek_safepoint-ed).  Format v1: a change
+#: here is a format change and must be deliberate.
+PINNED_PAYLOAD_DIGESTS = {
+    ("ping_pong", 1):
+        "f8c82b582bc06300608d706b371e66d8a95356b83058743323d9c74db7dd29cc",
+    ("ping_pong", 20_000):
+        "3d1e8e216267ac9fb41c959d0445027679c12a4a916fc4e45d3fa9cba389bf6d",
+    ("ping_pong", None):
+        "993d8a780d5d365ca3b7bc8f5e40f0fb921fa3e6ffb82af76166b2a6c2459a94",
+    ("bandwidth", 1):
+        "623bdd152090f2dc8c9271ff3b1897d0a20104a00f5709b3bc37ebef3666e844",
+    ("bandwidth", 20_000):
+        "208290ccc14abb0e0b2dca089877f5d64b759cdcee20e09fb16edce13bc5a767",
+    ("bandwidth", None):
+        "208290ccc14abb0e0b2dca089877f5d64b759cdcee20e09fb16edce13bc5a767",
+    ("contention", 1):
+        "40576c911f65f6399dfee8c1efebad6fb28a0e4f2356f923fe1cfa019af2c15d",
+    ("contention", 20_000):
+        "3dbdb09e7a95a69bfc38d845bfc5b1b047c9b44d944528da2f2f970d973f3da0",
+    ("contention", None):
+        "3dbdb09e7a95a69bfc38d845bfc5b1b047c9b44d944528da2f2f970d973f3da0",
+    ("blocked_stream", 1):
+        "39d712641e3508fde72370af4a6a1725388a2fbfdd9949b3aadfa488b4f05796",
+    ("blocked_stream", 20_000):
+        "b0b797af793f47cdd5fc21c7252cd3da640c728d84d5a13115efb79a989baaff",
+    ("blocked_stream", None):
+        "8f64f0d38a851c3344e6ac19c57b682d856641a00b48e9b8c6a5677716e43642",
+}
+
+
+def test_checkpoint_payload_digests_are_pinned():
+    assert {name for name, _ in PINNED_PAYLOAD_DIGESTS} == set(SCENARIOS)
+    drifted = []
+    for (name, until), expected in sorted(PINNED_PAYLOAD_DIGESTS.items(),
+                                          key=repr):
+        system = SCENARIOS[name]()
+        system.run(until=until)
+        seek_safepoint(system)
+        digest = fmt.payload_digest(SystemCheckpoint.capture(system))
+        if digest != expected:
+            drifted.append((name, until, digest))
+    assert drifted == []
 
 
 # -- the CLI ------------------------------------------------------------------

